@@ -4,7 +4,6 @@ Everything is computed over the rationals with certified, replayable
 polynomial identities — no floating point, no numerical tolerance.
 """
 
-from torsal._kernel import BACKEND as _BACKEND
 from torsal.errors import (
     BaseLocusError,
     ContextMismatchError,
@@ -47,5 +46,5 @@ __all__ = [
 
 
 def kernel_backend() -> str:
-    """Which term-arithmetic kernel is active: "pure" or "compiled"."""
-    return _BACKEND
+    """Which term-arithmetic kernel is active; there is one, "pure"."""
+    return "pure"

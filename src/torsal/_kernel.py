@@ -1,0 +1,195 @@
+"""Term-arithmetic kernel.
+
+Terms are plain dicts mapping packed monomial keys to rational
+coefficients stored as ``(numerator, denominator)`` int pairs:
+denominator positive, lowest terms, numerator nonzero (zero coefficients
+are never stored). Every polynomial operation in the package bottoms out
+in these loops, so they stay on bare ints instead of fractions.Fraction.
+
+A key packs an exponent vector (e0, ..., e_{n-1}) of total degree deg
+into one int, ``WIDTH`` bits per field with e0 most significant and the
+degree on top (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007)::
+
+    deg << (n*WIDTH) | e0 << ((n-1)*WIDTH) | ... | e_{n-1}
+
+Multiplying monomials is then adding keys, and comparing keys as ints is
+graded-lexicographic order. A field overflows only when a degree reaches
+``DEGREE_LIMIT``; the caller knows the degrees and checks before it
+multiplies (torsal.polyring). The key of the monomial 1 is 0 in every
+context. Dicts are unordered: canonical order is established where it is
+shown. A dict is never changed once built (add_into changes only the dict
+its caller is building), so a result may share pairs, or be, an input.
+"""
+
+from math import gcd
+
+WIDTH = 32
+MASK = (1 << WIDTH) - 1
+DEGREE_LIMIT = 1 << WIDTH  # degrees and exponents stay below this
+
+
+def rat_norm(num, den):
+    """Normalize num/den to lowest terms with a positive denominator."""
+    if den == 0:
+        raise ZeroDivisionError("rational with zero denominator")
+    if num == 0:
+        return (0, 1)
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    if g > 1:
+        num //= g
+        den //= g
+    return (num, den)
+
+
+def rat_add(n1, d1, n2, d2):
+    if d1 == d2:
+        n = n1 + n2
+        if n == 0:
+            return (0, 1)
+        g = gcd(n, d1)
+        return (n // g, d1 // g) if g > 1 else (n, d1)
+    n = n1 * d2 + n2 * d1
+    if n == 0:
+        return (0, 1)
+    d = d1 * d2
+    g = gcd(n, d)
+    return (n // g, d // g) if g > 1 else (n, d)
+
+
+def rat_mul(n1, d1, n2, d2):
+    # cross-reduce before multiplying; reduced inputs give a reduced result
+    g1 = gcd(abs(n1), d2)
+    g2 = gcd(abs(n2), d1)
+    return ((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1))
+
+
+def add_into(out, b, sign=1):
+    """Add sign * b into the term dict ``out`` in place and return it.
+
+    The one accumulation loop: a sum of many term dicts costs one pass
+    over each instead of a copy of the running total per summand.
+    """
+    get = out.get
+    for key, pair in b.items():
+        n, d = pair
+        if sign < 0:
+            n = -n
+            pair = (n, d)
+        cur = get(key)
+        if cur is None:
+            out[key] = pair
+            continue
+        cn, cd = cur
+        if cd == 1 and d == 1:
+            s, sd = cn + n, 1
+        else:
+            s, sd = rat_add(cn, cd, n, d)
+        if s:
+            out[key] = (s, sd)
+        else:
+            del out[key]
+    return out
+
+
+def terms_add(a, b, sign=1):
+    """a + sign * b; cancelled coefficients are dropped."""
+    return add_into(dict(a), b, sign)
+
+
+def terms_neg(a):
+    return {key: (-n, d) for key, (n, d) in a.items()}
+
+
+def terms_scale(a, num, den):
+    """Multiply every coefficient by num/den (zero scalar clears the dict)."""
+    num, den = rat_norm(num, den)
+    if num == 0:
+        return {}
+    return {key: rat_mul(n, d, num, den) for key, (n, d) in a.items()}
+
+
+def terms_mul(a, b):
+    """Distributive product of two term dicts over one variable context."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for k1, (n1, d1) in a.items():
+        for k2, (n2, d2) in b.items():
+            key = k1 + k2
+            cur = get(key)
+            if d1 == 1 and d2 == 1:
+                if cur is None:
+                    out[key] = (n1 * n2, 1)
+                    continue
+                cn, cd = cur
+                if cd == 1:
+                    out[key] = (cn + n1 * n2, 1)
+                    continue
+                s = rat_add(cn, cd, n1 * n2, 1)
+            else:
+                n, d = rat_mul(n1, d1, n2, d2)
+                if cur is None:
+                    out[key] = (n, d)
+                    continue
+                s = rat_add(cur[0], cur[1], n, d)
+            out[key] = s
+    # sums are left unreduced above; cancelled terms go in one pass
+    return {key: pair for key, pair in out.items() if pair[0]}
+
+
+def terms_pow(a, n):
+    """a**n for a non-negative int n.
+
+    A single term is raised directly. Otherwise the power is built by
+    repeated multiplication by the base, which for sparse and dense
+    multivariate operands does less work than repeated squaring
+    (Fateman, "On the computation of powers of sparse polynomials", 1974).
+    """
+    if n < 0:
+        raise ValueError("negative exponent")
+    if n == 0:
+        return {0: (1, 1)}
+    if len(a) == 1:
+        (key, (num, den)), = a.items()
+        return {key * n: (num ** n, den ** n)}
+    result = a
+    for _ in range(n - 1):
+        result = terms_mul(result, a)
+    return result
+
+
+def terms_eval(a, point):
+    """Evaluate at a point given as a sequence of (num, den) pairs.
+
+    Works over the common denominator prod(den_i ** D_i), D_i the largest
+    exponent of variable i, so each term costs integer products only and
+    one reduction happens per distinct coefficient denominator.
+    """
+    if not a:
+        return (0, 1)
+    n = len(point)
+    shifts = [(n - 1 - i) * WIDTH for i in range(n)]
+    exps = [[(key >> s) & MASK for s in shifts] for key in a]
+    columns = list(zip(*exps))
+    top = [max(column) for column in columns]
+    # tables[i][e] = num_i**e * den_i**(D_i - e), for the e that occur
+    tables = [
+        {e: pn ** e * pd ** (dmax - e) for e in set(column)}
+        for (pn, pd), dmax, column in zip(point, top, columns)
+    ]
+    sums = {}
+    for vector, (num, den) in zip(exps, a.values()):
+        for table, e in zip(tables, vector):
+            num *= table[e]
+        sums[den] = sums.get(den, 0) + num
+    acc_n, acc_d = 0, 1
+    for den, num in sums.items():
+        acc_n, acc_d = rat_add(acc_n, acc_d, *rat_norm(num, den))
+    scale = 1
+    for (_, pd), dmax in zip(point, top):
+        scale *= pd ** dmax
+    return rat_norm(acc_n, acc_d * scale)

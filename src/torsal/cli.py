@@ -6,7 +6,10 @@ subcommand's output validates against the matching schema shipped in
 ``torsal/schemas/``.  ``--pretty`` switches to an aligned human
 rendering.  Errors go to stderr (JSON unless ``--pretty``).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+3 internal error (an exception torsal has no contract error for; it is
+reported as a JSON error of type "error" naming the exception, never as
+a traceback).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from torsal.projgeom import ProjPoint
 _EXIT_OK = 0
 _EXIT_VERIFY = 1
 _EXIT_USAGE = 2
+_EXIT_INTERNAL = 3
 
 
 class _UsageError(Exception):
@@ -86,7 +90,10 @@ def _parse_param_map(raw_map: str, raw_params: str) -> ParamMap:
             f"--param-map needs 5 comma-separated components, got {len(pieces)}"
         )
     components = [parse_polynomial(piece.strip(), context) for piece in pieces]
-    return ParamMap(components)
+    try:
+        return ParamMap(components)
+    except ValueError as exc:  # e.g. all-zero components
+        raise _UsageError(f"--param-map: {exc}") from None
 
 
 def _parse_fraction(raw: str, flag: str) -> Fraction:
@@ -252,7 +259,7 @@ def _cmd_focal(args) -> tuple:
     p = _parse_fraction(args.p, "--p")
     q = _parse_fraction(args.q, "--q")
     system = ruled.focal_system()
-    report = ruled.focal_points_on_generator(h, p, q)
+    report = ruled.focal_points_on_generator(h, p, q, system)
     payload = {
         "surface": args.surface,
         "p": _frac_str(p),
@@ -522,12 +529,16 @@ def main(argv=None) -> int:
         payload, code = args.func(args)
     except (TorsalError, _UsageError) as exc:
         payload, code = _error_payload(exc)
-        if pretty:
-            sys.stderr.write(f"error: {payload['error']['message']}\n")
-        else:
-            _emit(payload, False, sys.stderr)
+    except Exception as exc:  # a defect: report it, never as a traceback
+        message = f"internal error: {type(exc).__name__}: {exc}"
+        payload, code = {"error": {"type": "error", "message": message}}, _EXIT_INTERNAL
+    else:
+        _emit(payload, pretty, sys.stdout)
         return code
-    _emit(payload, pretty, sys.stdout)
+    if pretty:
+        sys.stderr.write(f"error: {payload['error']['message']}\n")
+    else:
+        _emit(payload, False, sys.stderr)
     return code
 
 

@@ -10,7 +10,10 @@ Grammar (whitespace-insensitive, no implicit multiplication, no division):
 '^' takes a bare natural-number literal and binds *looser* than unary
 minus: "-z1^2" is (-z1)^2, which is why the canonical formatter writes
 such leading terms as "-1*z1^2". Syntax errors carry the byte offset of
-the offending input.
+the offending input. Parentheses and unary minus nest at most
+MAX_NESTING deep, so hostile input gets a syntax error instead of
+exhausting the interpreter's stack; sums and products of any length are
+evaluated without recursion.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from torsal.errors import ExprSyntaxError
-from torsal.polyring import Polynomial, VarContext
+from torsal.polyring import Polynomial, VarContext, signed_sum
+
+MAX_NESTING = 100
 
 # -- AST ----------------------------------------------------------------
 
@@ -119,6 +124,7 @@ class _Parser:
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.depth = 0  # open '(' and unary '-' around the current position
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -165,6 +171,14 @@ class _Parser:
             node = Pow(node, int(tok.text))
         return node
 
+    def nest(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(
+                f"parentheses and unary minus nest deeper than {MAX_NESTING}",
+                tok.offset,
+            )
+
     def base(self) -> Node:
         tok = self.peek()
         if tok.kind == "nat":
@@ -174,13 +188,16 @@ class _Parser:
             self.take()
             return Var(tok.text)
         if tok.kind == "(":
-            self.take()
+            self.nest(self.take())
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.kind == "-":
-            self.take()
-            return Neg(self.base())
+            self.nest(self.take())
+            node = Neg(self.base())
+            self.depth -= 1
+            return node
         what = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ExprSyntaxError(f"expected a value, found {what}", tok.offset)
 
@@ -198,8 +215,41 @@ def parse(text: str) -> Node:
 def to_polynomial(node: Node, context: VarContext) -> Polynomial:
     """Evaluate an AST in the polynomial ring of `context`.
 
-    Raises UnknownVariableError for identifiers outside the context.
+    A chain of '+' and '-' is summed into one term dict and a chain of
+    '*' is folded left to right, both without recursion; only nesting
+    (bounded by the parser) recurses. Raises UnknownVariableError for
+    identifiers outside the context.
     """
+    if isinstance(node, (Add, Sub)):
+        summands = []
+        while isinstance(node, (Add, Sub)):
+            summands.append((1 if isinstance(node, Add) else -1, node.right))
+            node = node.left
+        summands.append((1, node))
+        return signed_sum(
+            context,
+            [(sign, to_polynomial(n, context)) for sign, n in reversed(summands)],
+        )
+    if isinstance(node, Mul):
+        factors = [node.right]
+        while isinstance(node.left, Mul):
+            node = node.left
+            factors.append(node.right)
+        factors.append(node.left)
+        # numbers, variables and their powers fold into one term; the
+        # other factors are multiplied in (left to right, as written)
+        coefficient, exps, product = 1, [0] * len(context), None
+        for factor in reversed(factors):
+            base, e = (factor.base, factor.exponent) if isinstance(factor, Pow) else (factor, 1)
+            if isinstance(base, Num):
+                coefficient *= base.value ** e
+            elif isinstance(base, Var):
+                exps[context.index(base.name)] += e
+            else:
+                f = to_polynomial(factor, context)
+                product = f if product is None else product * f
+        term = Polynomial(context, {tuple(exps): coefficient})
+        return term if product is None else term * product
     if isinstance(node, Num):
         return Polynomial.constant(context, node.value)
     if isinstance(node, Var):
@@ -208,12 +258,6 @@ def to_polynomial(node: Node, context: VarContext) -> Polynomial:
         return -to_polynomial(node.operand, context)
     if isinstance(node, Pow):
         return to_polynomial(node.base, context) ** node.exponent
-    if isinstance(node, Add):
-        return to_polynomial(node.left, context) + to_polynomial(node.right, context)
-    if isinstance(node, Sub):
-        return to_polynomial(node.left, context) - to_polynomial(node.right, context)
-    if isinstance(node, Mul):
-        return to_polynomial(node.left, context) * to_polynomial(node.right, context)
     raise TypeError(f"not an expression node: {node!r}")
 
 

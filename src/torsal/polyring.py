@@ -1,13 +1,20 @@
 """Exact multivariate polynomial ring over arbitrary-precision rationals.
 
 Polynomials are immutable values in canonical form: a fixed variable
-context, terms stored in descending graded-lexicographic order, no zero
-coefficients, coefficients in lowest terms. Structural equality is the
-identity test; there is no floating point anywhere.
+context, no zero coefficients, coefficients in lowest terms. Structural
+equality is the identity test; there is no floating point anywhere.
 
-Coefficients are exposed as fractions.Fraction at the API boundary and
-held as (numerator, denominator) int pairs inside the term kernel (see
-torsal._kernel). Cross-context arithmetic is a hard error, never a
+Terms are held by the kernel (torsal._kernel): a dict from one packed
+int per monomial to a (numerator, denominator) int pair. Exponent tuples
+and Monomial are the public face; packing and unpacking happen here, and
+so does the field-width guard: a product, power or substitution whose
+total degree could reach the kernel's DEGREE_LIMIT raises DegreeError
+instead of building a wrong key. The dict has no order. Descending
+graded-lexicographic order is sorted once, on the packed ints, where it
+can be seen (sorted_terms, leading_monomial, leading_coefficient,
+format_polynomial) and cached on the polynomial; equality, hashing and
+evaluation do not depend on it. Coefficients are exposed as
+fractions.Fraction. Cross-context arithmetic is a hard error, never a
 coercion.
 
 Sign conventions, fixed here and relied on by callers:
@@ -29,6 +36,7 @@ from fractions import Fraction
 from functools import total_ordering
 
 from torsal import _kernel as K
+from torsal._kernel import DEGREE_LIMIT, MASK, WIDTH
 from torsal.errors import (
     ContextMismatchError,
     DegreeError,
@@ -39,14 +47,24 @@ from torsal.errors import (
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+def _degree_guard(degree, what):
+    if degree >= DEGREE_LIMIT:
+        raise DegreeError(
+            f"{what} has total degree {degree}; packed monomials allow "
+            f"at most {DEGREE_LIMIT - 1}"
+        )
+
+
 class VarContext:
     """An ordered, immutable list of distinct variable names.
 
     Exponent vectors of monomials index into it; two contexts compare
-    equal exactly when their name tuples match.
+    equal exactly when their name tuples match. It also knows the layout
+    of packed keys in its ring: the field of variable i starts at bit
+    ``_shifts[i]`` and the total degree at bit ``_degree_shift``.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_shifts", "_degree_shift")
 
     def __init__(self, names):
         names = tuple(names)
@@ -59,6 +77,9 @@ class VarContext:
             raise ValueError(f"duplicate variable names in {names}")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        n = len(names)
+        self._shifts = tuple((n - 1 - i) * WIDTH for i in range(n))
+        self._degree_shift = n * WIDTH
 
     def index(self, name: str) -> int:
         try:
@@ -81,11 +102,22 @@ class VarContext:
     def __repr__(self):
         return f"VarContext({', '.join(self.names)})"
 
+    def _pack(self, exps) -> int:
+        """Packed key of a valid exponent vector; DegreeError past the limit."""
+        degree = sum(exps)
+        _degree_guard(degree, f"monomial {tuple(exps)}")
+        key = degree
+        for e in exps:
+            key = (key << WIDTH) | e
+        return key
+
+    def _unpack(self, key) -> tuple:
+        return tuple([(key >> s) & MASK for s in self._shifts])
+
     def variable(self, name: str) -> "Polynomial":
         """The variable `name` as a polynomial."""
-        i = self.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return Polynomial._make(self, {exps: (1, 1)})
+        key = (1 << self._degree_shift) | (1 << self._shifts[self.index(name)])
+        return Polynomial._make(self, {key: (1, 1)})
 
     def variables(self) -> tuple["Polynomial", ...]:
         """All context variables, in order, as polynomials."""
@@ -127,7 +159,7 @@ def _coeff_pair(value):
 class Polynomial:
     """Canonical sparse polynomial over the rationals in a fixed context."""
 
-    __slots__ = ("context", "_terms", "_hash")
+    __slots__ = ("context", "_terms", "_hash", "_order")
 
     def __init__(self, context: VarContext, terms=None):
         kterms = {}
@@ -142,25 +174,25 @@ class Polynomial:
                 raise ValueError(f"exponents must be non-negative ints: {exps}")
             pair = K.rat_norm(*_coeff_pair(value))
             if pair[0]:
-                cur = kterms.get(exps)
-                kterms[exps] = pair if cur is None else K.rat_add(*cur, *pair)
-                if kterms[exps][0] == 0:
-                    del kterms[exps]
+                packed = context._pack(exps)
+                cur = kterms.get(packed)
+                kterms[packed] = pair if cur is None else K.rat_add(*cur, *pair)
+                if kterms[packed][0] == 0:
+                    del kterms[packed]
         self.context = context
-        self._terms = dict(
-            sorted(kterms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-        )
+        self._terms = kterms
         self._hash = None
+        self._order = None
 
     @classmethod
     def _make(cls, context, kterms):
-        # internal: kterms already normalized by the kernel
+        # internal: kterms already normalized by the kernel, and owned by
+        # the new polynomial from here on (never changed again)
         self = object.__new__(cls)
         self.context = context
-        self._terms = dict(
-            sorted(kterms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-        )
+        self._terms = kterms
         self._hash = None
+        self._order = None
         return self
 
     @classmethod
@@ -172,13 +204,20 @@ class Polynomial:
         pair = K.rat_norm(*_coeff_pair(value))
         if pair[0] == 0:
             return cls.zero(context)
-        return cls._make(context, {(0,) * len(context): pair})
+        return cls._make(context, {0: pair})
 
     @classmethod
     def one(cls, context: VarContext) -> "Polynomial":
         return cls.constant(context, 1)
 
     # -- views ---------------------------------------------------------
+
+    def _keys_descending(self) -> list:
+        """Packed keys in descending graded-lex order, sorted once."""
+        order = self._order
+        if order is None:
+            order = self._order = sorted(self._terms, reverse=True)
+        return order
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -190,14 +229,15 @@ class Polynomial:
         """Largest term degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(self._terms) >> self.context._degree_shift
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self._terms}
-        return len(degs) <= 1
+        shift = self.context._degree_shift
+        return len({key >> shift for key in self._terms}) <= 1
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._terms)
+        # the monomial 1 is the only key of degree 0, and it is 0
+        return not any(self._terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial."""
@@ -210,50 +250,60 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms as (Monomial, Fraction) pairs, descending graded-lex."""
-        return [(Monomial(e), Fraction(n, d)) for e, (n, d) in self._terms.items()]
+        unpack, terms = self.context._unpack, self._terms
+        return [
+            (Monomial(unpack(key)), Fraction(*terms[key]))
+            for key in self._keys_descending()
+        ]
 
     def coefficient(self, key) -> Fraction:
         exps = key.exponents if isinstance(key, Monomial) else tuple(key)
-        pair = self._terms.get(exps)
+        if (len(exps) != len(self.context)
+                or any((not isinstance(e, int)) or e < 0 for e in exps)
+                or sum(exps) >= DEGREE_LIMIT):
+            return Fraction(0)
+        pair = self._terms.get(self.context._pack(exps))
         return Fraction(*pair) if pair else Fraction(0)
 
     def leading_monomial(self) -> Monomial:
         if not self._terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return Monomial(next(iter(self._terms)))
+        return Monomial(self.context._unpack(self._keys_descending()[0]))
 
     def leading_coefficient(self) -> Fraction:
         if not self._terms:
             return Fraction(0)
-        return Fraction(*next(iter(self._terms.values())))
+        return Fraction(*self._terms[self._keys_descending()[0]])
 
     def variables_present(self) -> tuple:
         """Names of variables that occur with positive exponent."""
-        present = [False] * len(self.context)
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                if e:
-                    present[i] = True
-        return tuple(n for n, p in zip(self.context.names, present) if p)
+        fields = 0
+        for key in self._terms:
+            fields |= key
+        return tuple(
+            name for name, s in zip(self.context.names, self.context._shifts)
+            if (fields >> s) & MASK
+        )
 
     def term_count(self) -> int:
         return len(self._terms)
 
     def degree_in(self, var: str) -> int:
         """Largest exponent of `var` (0 when absent); -1 for the zero polynomial."""
-        i = self.context.index(var)
+        s = self.context._shifts[self.context.index(var)]
         if not self._terms:
             return -1
-        return max(e[i] for e in self._terms)
+        return max((key >> s) & MASK for key in self._terms)
 
     def coefficients_in(self, var: str) -> list:
         """Coefficients of var^0, var^1, ... as polynomials (var removed)."""
-        i = self.context.index(var)
+        s = self.context._shifts[self.context.index(var)]
+        unit = (1 << self.context._degree_shift) + (1 << s)
         deg = self.degree_in(var)
         buckets = [dict() for _ in range(max(deg, 0) + 1)]
-        for exps, pair in self._terms.items():
-            rest = exps[:i] + (0,) + exps[i + 1:]
-            buckets[exps[i]][rest] = pair
+        for key, pair in self._terms.items():
+            e = (key >> s) & MASK
+            buckets[e][key - e * unit] = pair
         return [Polynomial._make(self.context, b) for b in buckets]
 
     # -- arithmetic ----------------------------------------------------
@@ -290,7 +340,7 @@ class Polynomial:
             return NotImplemented
         self._check_context(other)
         return Polynomial._make(
-            self.context, K.terms_add(self._terms, K.terms_neg(other._terms))
+            self.context, K.terms_add(self._terms, other._terms, -1)
         )
 
     def __rsub__(self, other):
@@ -306,6 +356,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
+        if self._terms and other._terms:
+            _degree_guard(self.total_degree() + other.total_degree(), "product")
         return Polynomial._make(self.context, K.terms_mul(self._terms, other._terms))
 
     __rmul__ = __mul__
@@ -320,9 +372,9 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a non-negative int")
-        return Polynomial._make(
-            self.context, K.terms_pow(self._terms, n, len(self.context))
-        )
+        if self._terms:
+            _degree_guard(self.total_degree() * n, "power")
+        return Polynomial._make(self.context, K.terms_pow(self._terms, n))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -348,13 +400,13 @@ class Polynomial:
 
     def partial_derivative(self, var: str) -> "Polynomial":
         """Formal partial derivative with respect to `var`."""
-        i = self.context.index(var)
+        s = self.context._shifts[self.context.index(var)]
+        unit = (1 << self.context._degree_shift) + (1 << s)
         out = {}
-        for exps, (n, d) in self._terms.items():
-            e = exps[i]
+        for key, (n, d) in self._terms.items():
+            e = (key >> s) & MASK
             if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1:]
-                out[key] = K.rat_norm(n * e, d)
+                out[key - unit] = K.rat_norm(n * e, d)
         return Polynomial._make(self.context, out)
 
     def substitute(self, assignment, target_context: VarContext | None = None):
@@ -389,31 +441,33 @@ class Polynomial:
                 raise MissingAssignmentError(
                     f"no image for variable {name!r} occurring in f"
                 )
-        poly_images = {}
+        # variable index -> [image^0, image^1, ...] term dicts, grown on demand
+        powers = {}
+        image_degree = 0
         for name in needed:
             img = images[name]
             if not isinstance(img, Polynomial):
                 img = Polynomial.constant(target, img)
-            poly_images[name] = img
+            powers[self.context.index(name)] = [{0: (1, 1)}, img._terms]
+            image_degree = max(image_degree, img.total_degree())
+        if self._terms:
+            _degree_guard(self.total_degree() * image_degree, "substitution")
 
-        nvars_t = len(target)
-        one = {(0,) * nvars_t: (1, 1)}
-        powers = {name: [one] for name in needed}
-
-        def power_of(name, e):
-            cache = powers[name]
-            base = poly_images[name]._terms
+        def power_of(i, e):
+            cache = powers[i]
             while len(cache) <= e:
-                cache.append(K.terms_mul(cache[-1], base))
+                cache.append(K.terms_mul(cache[-1], cache[1]))
             return cache[e]
 
+        shifts = self.context._shifts
         acc = {}
-        for exps, pair in self._terms.items():
-            term = {(0,) * nvars_t: pair}
-            for i, e in enumerate(exps):
+        for key, pair in self._terms.items():
+            term = {0: pair}
+            for i, s in enumerate(shifts):
+                e = (key >> s) & MASK
                 if e:
-                    term = K.terms_mul(term, power_of(self.context.names[i], e))
-            acc = K.terms_add(acc, term)
+                    term = K.terms_mul(term, power_of(i, e))
+            K.add_into(acc, term)
         return Polynomial._make(target, acc)
 
     def evaluate(self, point) -> Fraction:
@@ -438,10 +492,14 @@ class Polynomial:
             raise DegreeError(
                 f"target degree {degree} below total degree {d}"
             )
+        _degree_guard(degree, "homogenization")
         ctx = VarContext((new_var,) + self.context.names)
+        shift = self.context._degree_shift  # the old degree field becomes new_var's
+        fields = (1 << shift) - 1
+        top = degree << ctx._degree_shift
         out = {}
-        for exps, pair in self._terms.items():
-            out[(degree - sum(exps),) + exps] = pair
+        for key, pair in self._terms.items():
+            out[top | (degree - (key >> shift)) << shift | (key & fields)] = pair
         return Polynomial._make(ctx, out)
 
     def dehomogenize(self, var: str) -> "Polynomial":
@@ -449,18 +507,17 @@ class Polynomial:
         i = self.context.index(var)
         names = self.context.names[:i] + self.context.names[i + 1:]
         ctx = VarContext(names)
+        s = self.context._shifts[i]
+        below = (1 << s) - 1
+        fields = (1 << self.context._degree_shift) - 1
+        shift = self.context._degree_shift
         out = {}
-        for exps, pair in self._terms.items():
-            key = exps[:i] + exps[i + 1:]
-            cur = out.get(key)
-            if cur is None:
-                out[key] = pair
-            else:
-                s = K.rat_add(*cur, *pair)
-                if s[0] == 0:
-                    del out[key]
-                else:
-                    out[key] = s
+        for key, pair in self._terms.items():
+            e = (key >> s) & MASK
+            rest = (((key >> shift) - e) << ctx._degree_shift
+                    | (key & fields) >> (s + WIDTH) << s
+                    | key & below)
+            K.add_into(out, {rest: pair})
         return Polynomial._make(ctx, out)
 
     def rename(self, new_names) -> "Polynomial":
@@ -470,38 +527,25 @@ class Polynomial:
             raise ValueError(
                 f"renaming needs {len(self.context)} names, got {len(ctx)}"
             )
-        return Polynomial._make(ctx, dict(self._terms))
+        # the key layout depends on the number of variables only
+        return Polynomial._make(ctx, self._terms)
 
 
-# -- module-level operation surface ------------------------------------
+def signed_sum(context: VarContext, summands) -> Polynomial:
+    """Sum of ``(sign, polynomial)`` pairs (sign +1 or -1) in `context`.
 
-
-def add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
-def partial_derivative(f: Polynomial, var: str) -> Polynomial:
-    return f.partial_derivative(var)
-
-
-def substitute(f: Polynomial, assignment, target_context=None) -> Polynomial:
-    return f.substitute(assignment, target_context)
-
-
-def evaluate(f: Polynomial, point) -> Fraction:
-    return f.evaluate(point)
-
-
-def homogenize(f: Polynomial, new_var: str, degree=None) -> Polynomial:
-    return f.homogenize(new_var, degree)
-
-
-def dehomogenize(f: Polynomial, var: str) -> Polynomial:
-    return f.dehomogenize(var)
+    All summands accumulate into one term dict, so the cost is linear in
+    the total number of terms.
+    """
+    out = {}
+    for sign, f in summands:
+        if f.context != context:
+            raise ContextMismatchError(
+                f"context ({', '.join(context.names)}) vs "
+                f"({', '.join(f.context.names)})"
+            )
+        K.add_into(out, f._terms, sign)
+    return Polynomial._make(context, out)
 
 
 def det_over_ring(rows):
@@ -583,7 +627,8 @@ def equal_up_to_scalar(f: Polynomial, g: Polynomial):
         return False, None
     if f._terms.keys() != g._terms.keys():
         return False, None
-    c = f.leading_coefficient() / g.leading_coefficient()
+    key = next(iter(f._terms))  # f = c*g fixes c at any shared monomial
+    c = Fraction(*f._terms[key]) / Fraction(*g._terms[key])
     if f == g * c:
         return True, c
     return False, None
@@ -628,27 +673,27 @@ def format_polynomial(f: Polynomial) -> str:
     """
     if f.is_zero():
         return "0"
-    names = f.context.names
+    names, unpack = f.context.names, f.context._unpack
     pieces = []
-    for idx, (exps, (num, den)) in enumerate(f._terms.items()):
-        coef = Fraction(num, den)
+    for idx, key in enumerate(f._keys_descending()):
+        num, den = f._terms[key]
         factors = []
-        for name, e in zip(names, exps):
+        for name, e in zip(names, unpack(key)):
             if e == 1:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        mag = abs(coef)
+        mag = f"{abs(num)}/{den}" if den != 1 else str(abs(num))
         if not factors:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = "*".join(factors)
-            if idx == 0 and coef < 0 and "^" in factors[0]:
+            if idx == 0 and num < 0 and "^" in factors[0]:
                 body = "1*" + body
         else:
-            body = str(mag) + "*" + "*".join(factors)
+            body = mag + "*" + "*".join(factors)
         if idx == 0:
-            pieces.append(body if coef > 0 else "-" + body)
+            pieces.append(body if num > 0 else "-" + body)
         else:
-            pieces.append((" + " if coef > 0 else " - ") + body)
+            pieces.append((" + " if num > 0 else " - ") + body)
     return "".join(pieces)

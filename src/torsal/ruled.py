@@ -29,12 +29,13 @@ from torsal.hypersurface import Hypersurface, ParamMap, contains_parametrized, g
 from torsal.polyring import (
     Polynomial,
     VarContext,
+    det_over_ring,
     discriminant,
     equal_up_to_scalar,
     primitive_part,
     sylvester_resultant,
 )
-from torsal.projgeom import ProjPoint, adjugate, rank
+from torsal.projgeom import ProjPoint, adjugate, frame_bourgain, rank
 
 SAMPLE_COUNT = 7
 DEFAULT_SEED = 1729
@@ -372,7 +373,7 @@ def focal_system(q_name: str = "q", lam_name: str = "lam") -> FocalSystem:
     q = ctx.variable(q_name)
     zero = Polynomial.zero(ctx)
 
-    det = _frame_det(frame)
+    det = det_over_ring(frame)
     if det != Polynomial.one(ctx):
         raise VerificationError("frame determinant is not 1")
     inv = adjugate(frame)  # equals the inverse since det = 1
@@ -413,12 +414,6 @@ def focal_system(q_name: str = "q", lam_name: str = "lam") -> FocalSystem:
         out.append(out_row)
     det2 = out[0][0] * out[1][1] - out[0][1] * out[1][0]
     return FocalSystem(out, det2)
-
-
-def _frame_det(rows):
-    from torsal.polyring import det_over_ring
-
-    return det_over_ring(rows)
 
 
 def rational_roots(f: Polynomial, var: str):
@@ -513,11 +508,15 @@ def rational_roots(f: Polynomial, var: str):
     return roots, residual
 
 
-def focal_points_on_generator(h: Hypersurface, p, q) -> FocalReport:
+def focal_points_on_generator(
+    h: Hypersurface, p, q, system: FocalSystem | None = None
+) -> FocalReport:
     """Roots of the focal determinant on the (p, q) generator, with the
     corresponding points and their at-infinity status.
 
-    Verifies first that the generator actually lies on h."""
+    Verifies first that the generator actually lies on h. `system` is
+    the result of focal_system() when the caller already has it; it does
+    not depend on h, p or q."""
     p, q = Fraction(p), Fraction(q)
     gm = generator_map()
     lam_ctx = VarContext(["lam"])
@@ -535,12 +534,12 @@ def focal_points_on_generator(h: Hypersurface, p, q) -> FocalReport:
             f"the generator at (p, q) = ({p}, {q}) does not lie on the "
             "hypersurface"
         )
-    fs = focal_system()
+    fs = focal_system() if system is None else system
     det_q = fs.determinant.substitute(
         {"q": q, "lam": lam}, target_context=lam_ctx
     )
     roots, residual = rational_roots(det_q, "lam")
-    frame_rows = _numeric_frame(p, q)
+    frame_rows = frame_bourgain(p, q).rows
     out = []
     for lam0, mult in roots:
         coords = tuple(
@@ -550,12 +549,6 @@ def focal_points_on_generator(h: Hypersurface, p, q) -> FocalReport:
         at_inf = coords[0] == 0 and coords[4] == 0
         out.append(FocalPoint(lam0, mult, pt, at_inf))
     return FocalReport(p, q, tuple(out), residual, CHART_NOTE)
-
-
-def _numeric_frame(p: Fraction, q: Fraction):
-    from torsal.projgeom import frame_bourgain
-
-    return frame_bourgain(p, q).rows
 
 
 # -- pencil decomposition certificate --------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from test_expr import random_expression
+from torsal import cli
 from torsal.cli import main, schema_path
 from torsal.polyring import VarContext
 
@@ -194,6 +195,41 @@ class TestErrors:
     def test_missing_required_flag_exits_two(self, capsys):
         assert main(["singular-locus"]) == 2
         capsys.readouterr()
+
+    def test_zero_param_map_is_a_usage_error(self, capsys):
+        payload = check(
+            capsys, "error",
+            [
+                "verify-parametrization", "--surface", "bourgain",
+                "--param-map", "0,0,0,0,0", "--params", "t",
+            ],
+            2, error=True,
+        )
+        assert payload["error"]["type"] == "usage"
+        assert "all-zero" in payload["error"]["message"]
+
+    def test_deep_nesting_is_a_syntax_error(self, capsys):
+        text = "(" * 3000 + "p" + ")" * 3000
+        payload = check(
+            capsys, "error", ["parse-check", "--expr", text, "--vars", "p"], 2,
+            error=True,
+        )
+        assert payload["error"]["type"] == "syntax"
+        assert payload["error"]["byte_offset"] == 100
+
+    def test_unexpected_exception_is_a_json_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("simulated defect")
+
+        monkeypatch.setattr(cli, "_cmd_catalog", broken)
+        payload = check(capsys, "error", ["catalog"], 3, error=True)
+        assert payload["error"] == {
+            "type": "error",
+            "message": "internal error: RuntimeError: simulated defect",
+        }
+        code, out, err = run_cli(capsys, "catalog", "--pretty")
+        assert code == 3 and out == ""
+        assert err == "error: internal error: RuntimeError: simulated defect\n"
 
     def test_bad_param_map_arity(self, capsys):
         payload = check(

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_random_polynomial
 from torsal.errors import ExprSyntaxError, UnknownVariableError
-from torsal.expr import parse, parse_polynomial, to_polynomial
+from torsal.expr import MAX_NESTING, parse, parse_polynomial, to_polynomial
 from torsal.polyring import Polynomial, VarContext, format_polynomial
 
 XY = VarContext(["x", "y"])
@@ -21,6 +21,13 @@ class TestBasics:
         assert parse_polynomial("2*x^3", ctx) == 2 * x ** 3
         assert parse_polynomial("(1 + x)^2", ctx) == 1 + 2 * x + x ** 2
         assert parse_polynomial("x^0", ctx) == 1
+
+    def test_products_fold_numbers_and_powers(self):
+        x, y = XY.variables()
+        assert parse_polynomial("2^3*x^2*3*x*y^0", XY) == 24 * x ** 3
+        assert parse_polynomial("-1*x^2*(x+y)*2", XY) == -2 * x ** 2 * (x + y)
+        assert parse_polynomial("(x+y)^2*0*x", XY) == 0
+        assert parse_polynomial("x*(x-y)*y*(x+y)^0", XY) == x * y * (x - y)
 
     def test_whitespace_insensitive(self):
         a = parse_polynomial("x*y+  2", XY)
@@ -87,6 +94,46 @@ class TestErrors:
     def test_division_is_rejected(self):
         with pytest.raises(ExprSyntaxError):
             parse("1/2")
+
+
+class TestNesting:
+    def test_deep_parentheses_are_a_syntax_error(self):
+        text = "(" * 3000 + "x" + ")" * 3000
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            parse(text)
+        # the first '(' past the limit
+        assert exc_info.value.offset == MAX_NESTING
+
+    def test_deep_unary_minus_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            parse("1 + " + "-" * 3000 + "x")
+        assert exc_info.value.offset == 4 + MAX_NESTING
+
+    def test_nesting_up_to_the_limit_parses(self):
+        ctx = VarContext(["x"])
+        x = ctx.variable("x")
+        assert parse_polynomial("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, ctx) == x
+        half = MAX_NESTING // 2
+        text = "(-" * half + "x" + ")" * half
+        assert parse_polynomial(text, ctx) == (-1) ** half * x
+        # closed groups do not count against later ones
+        assert parse_polynomial("(x)*" * 3000 + "1", ctx) == x ** 3000
+
+    def test_long_sums_and_products_do_not_recurse(self):
+        ctx = VarContext(["x", "y"])
+        x, y = ctx.variables()
+        assert parse_polynomial(" + ".join(["x*y"] * 5000), ctx) == 5000 * x * y
+        assert parse_polynomial(" - ".join(["x"] * 5001), ctx) == -4999 * x
+        assert parse_polynomial("*".join(["x", "2", "y"] * 2000), ctx) == (
+            2 ** 2000 * x ** 2000 * y ** 2000
+        )
+
+    def test_canonical_text_of_a_large_power_parses_back(self):
+        ctx = VarContext(["x", "y", "z"])
+        f = parse_polynomial("(x+y+z)^44", ctx)
+        assert f.term_count() == 1035
+        text = format_polynomial(f)
+        assert parse_polynomial(text, ctx) == f
 
 
 def random_expression(rng, names, depth=3):

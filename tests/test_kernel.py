@@ -1,47 +1,98 @@
-"""The compiled kernel must be behaviorally identical to the pure one."""
+"""The packed term kernel against a Fraction-dict reference on random input.
+
+The reference keeps terms as {exponent tuple: Fraction}; the kernel's
+dicts are packed and unpacked through a VarContext, so every test also
+checks that packing is exact.
+"""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import torsal
-from torsal._kernel import pure
+from torsal import _kernel as K
+from torsal.errors import DegreeError
+from torsal.polyring import Monomial, Polynomial, VarContext
 
-try:
-    from torsal._kernel import _speedups as compiled
-except ImportError:
-    compiled = None
-
-BACKENDS = [pure] if compiled is None else [pure, compiled]
+# there is one kernel, in pure Python; the "[pure]" test ids stay as they were
+KERNELS = pytest.mark.parametrize("impl", [K], ids=["pure"])
+LIMIT = K.DEGREE_LIMIT
 
 
-def random_terms(rng, nvars, max_terms=8, max_exp=4):
+def context(nvars):
+    return VarContext([f"x{i}" for i in range(nvars)])
+
+
+def random_reference(rng, nvars, max_terms=8, max_exp=4, integer=False):
     out = {}
     for _ in range(rng.randint(0, max_terms)):
         exps = tuple(rng.randint(0, max_exp) for _ in range(nvars))
         num = rng.randint(-20, 20)
         if num:
-            out[exps] = pure.rat_norm(num, rng.randint(1, 12))
+            out[exps] = Fraction(num, 1 if integer else rng.randint(1, 12))
     return out
 
 
-def to_fractions(terms):
-    return {e: Fraction(n, d) for e, (n, d) in terms.items()}
+def pack(ctx, ref):
+    return {ctx._pack(e): (c.numerator, c.denominator) for e, c in ref.items()}
+
+
+def unpack(ctx, terms):
+    """Reference form of kernel terms, checking the kernel's invariants."""
+    for n, d in terms.values():
+        assert n != 0 and d > 0 and gcd(n, d) == 1, (n, d)
+    return {ctx._unpack(key): Fraction(n, d) for key, (n, d) in terms.items()}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_pow(a, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_eval(a, vals):
+    total = Fraction(0)
+    for e, c in a.items():
+        for v, k in zip(vals, e):
+            c *= v ** k
+        total += c
+    return total
+
+
+def cases(seed, count, **kwargs):
+    """Random (context, reference) pairs, rational and integer alike."""
+    rng = random.Random(seed)
+    for i in range(count):
+        nvars = rng.randint(1, 5)
+        yield rng, context(nvars), nvars, lambda: random_reference(
+            rng, nvars, integer=bool(i % 2), **kwargs
+        )
 
 
 def test_backend_name_is_reported():
-    assert torsal.kernel_backend() in ("pure", "compiled")
+    assert torsal.kernel_backend() == "pure"
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_compiled_backend_is_present_here():
-    # this repository builds the extension during install; the pure
-    # fallback is exercised explicitly via TORSAL_KERNEL=pure
-    assert compiled is not None
-
-
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+@KERNELS
 class TestRationalPrimitives:
     def test_norm(self, impl):
         assert impl.rat_norm(0, 5) == (0, 1)
@@ -71,95 +122,112 @@ class TestRationalPrimitives:
             assert impl.rat_norm(n, d) == (n, d) or n == 0
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-class TestBackendAgreement:
-    """Pure and compiled loops give identical dicts on random input."""
-
-    def test_add_neg_scale(self):
-        rng = random.Random(7)
-        for _ in range(60):
-            nvars = rng.randint(1, 5)
-            a = random_terms(rng, nvars)
-            b = random_terms(rng, nvars)
-            assert pure.terms_add(a, b) == compiled.terms_add(a, b)
-            assert pure.terms_neg(a) == compiled.terms_neg(a)
-            num, den = rng.randint(-6, 6), rng.randint(1, 6)
-            assert pure.terms_scale(a, num, den) == compiled.terms_scale(a, num, den)
-
-    def test_mul_pow(self):
-        rng = random.Random(8)
-        for _ in range(40):
-            nvars = rng.randint(1, 4)
-            a = random_terms(rng, nvars, max_terms=5, max_exp=3)
-            b = random_terms(rng, nvars, max_terms=5, max_exp=3)
-            assert pure.terms_mul(a, b) == compiled.terms_mul(a, b)
-            n = rng.randint(0, 4)
-            assert pure.terms_pow(a, n, nvars) == compiled.terms_pow(a, n, nvars)
-
-    def test_eval(self):
-        rng = random.Random(9)
-        for _ in range(60):
-            nvars = rng.randint(1, 5)
-            a = random_terms(rng, nvars)
-            point = [
-                pure.rat_norm(rng.randint(-9, 9), rng.randint(1, 5))
-                for _ in range(nvars)
-            ]
-            assert pure.terms_eval(a, point) == compiled.terms_eval(a, point)
-
-
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+@KERNELS
 class TestAgainstFractionOracle:
-    """Each backend against a direct Fraction-dict reimplementation."""
+    """Each kernel entry point against the Fraction-dict reference."""
+
+    def test_add_neg_scale(self, impl):
+        for rng, ctx, _, draw in cases(20, 80):
+            a, b = draw(), draw()
+            ka, kb = pack(ctx, a), pack(ctx, b)
+            assert unpack(ctx, impl.terms_add(ka, kb)) == ref_add(a, b)
+            assert unpack(ctx, impl.terms_add(ka, kb, -1)) == ref_add(a, b, -1)
+            assert unpack(ctx, impl.terms_neg(ka)) == {e: -c for e, c in a.items()}
+            num, den = rng.randint(-6, 6), rng.randint(1, 6)
+            scaled = {e: c * Fraction(num, den) for e, c in a.items() if num}
+            assert unpack(ctx, impl.terms_scale(ka, num, den)) == scaled
+            # the inputs are left as they were
+            assert ka == pack(ctx, a) and kb == pack(ctx, b)
+
+    def test_add_into_accumulates_in_place(self, impl):
+        for _, ctx, _, draw in cases(24, 40):
+            summands = [(sign, draw()) for sign in (1, -1, 1, -1)]
+            out, expected = {}, {}
+            for sign, ref in summands:
+                assert impl.add_into(out, pack(ctx, ref), sign) is out
+                expected = ref_add(expected, ref, sign)
+            assert unpack(ctx, out) == expected
 
     def test_mul(self, impl):
-        rng = random.Random(21)
-        for _ in range(40):
-            nvars = rng.randint(1, 4)
-            a = random_terms(rng, nvars, max_terms=5, max_exp=3)
-            b = random_terms(rng, nvars, max_terms=5, max_exp=3)
-            expected = {}
-            for e1, c1 in to_fractions(a).items():
-                for e2, c2 in to_fractions(b).items():
-                    key = tuple(x + y for x, y in zip(e1, e2))
-                    expected[key] = expected.get(key, Fraction(0)) + c1 * c2
-            expected = {e: c for e, c in expected.items() if c}
-            assert to_fractions(impl.terms_mul(a, b)) == expected
+        for _, ctx, _, draw in cases(21, 60, max_terms=6, max_exp=3):
+            a, b = draw(), draw()
+            assert unpack(ctx, impl.terms_mul(pack(ctx, a), pack(ctx, b))) == ref_mul(a, b)
 
     def test_eval(self, impl):
-        rng = random.Random(22)
-        for _ in range(60):
-            nvars = rng.randint(1, 4)
-            a = random_terms(rng, nvars)
+        for rng, ctx, nvars, draw in cases(22, 80):
+            a = draw()
             vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(nvars)]
             point = [(v.numerator, v.denominator) for v in vals]
-            expected = sum(
-                (c * prod_pow(vals, e) for e, c in to_fractions(a).items()),
-                Fraction(0),
-            )
-            assert Fraction(*impl.terms_eval(a, point)) == expected
+            assert Fraction(*impl.terms_eval(pack(ctx, a), point)) == ref_eval(a, vals)
 
     def test_pow_matches_repeated_mul(self, impl):
-        rng = random.Random(23)
-        for _ in range(25):
-            nvars = rng.randint(1, 3)
-            a = random_terms(rng, nvars, max_terms=4, max_exp=2)
-            acc = {(0,) * nvars: (1, 1)}
-            for n in range(5):
-                assert impl.terms_pow(a, n, nvars) == acc
-                acc = impl.terms_mul(acc, a)
-
-
-def prod_pow(vals, exps):
-    out = Fraction(1)
-    for v, e in zip(vals, exps):
-        out *= v ** e
-    return out
+        for _, ctx, nvars, draw in cases(23, 40, max_terms=4, max_exp=2):
+            a = draw()
+            ka = pack(ctx, a)
+            acc = {0: (1, 1)}
+            for n in range(6):
+                got = impl.terms_pow(ka, n)
+                assert unpack(ctx, got) == ref_pow(a, n, nvars)
+                assert got == acc
+                acc = impl.terms_mul(acc, ka)
+        with pytest.raises(ValueError):
+            impl.terms_pow({0: (1, 1)}, -1)
 
 
 def test_cancellation_drops_terms():
-    a = {(1, 0): (1, 2), (0, 1): (3, 1)}
-    b = {(1, 0): (-1, 2)}
-    for impl in BACKENDS:
-        assert impl.terms_add(a, b) == {(0, 1): (3, 1)}
-        assert impl.terms_scale(a, 0, 1) == {}
+    ctx = context(2)
+    a = pack(ctx, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3)})
+    b = pack(ctx, {(1, 0): Fraction(-1, 2)})
+    assert unpack(ctx, K.terms_add(a, b)) == {(0, 1): 3}
+    assert K.terms_scale(a, 0, 1) == {}
+    # (x - y) * (x + y): the cross terms cancel inside the product
+    x_minus_y = pack(ctx, {(1, 0): Fraction(1), (0, 1): Fraction(-1)})
+    x_plus_y = pack(ctx, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
+    assert unpack(ctx, K.terms_mul(x_minus_y, x_plus_y)) == {(2, 0): 1, (0, 2): -1}
+    assert K.terms_add(x_minus_y, x_minus_y, -1) == {}
+
+
+class TestPacking:
+    def test_key_order_is_graded_lex(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            nvars = rng.randint(1, 5)
+            ctx = context(nvars)
+            e1 = tuple(rng.randint(0, 6) for _ in range(nvars))
+            e2 = tuple(rng.randint(0, 6) for _ in range(nvars))
+            assert (ctx._pack(e1) < ctx._pack(e2)) == (Monomial(e1) < Monomial(e2))
+            assert ctx._unpack(ctx._pack(e1) + ctx._pack(e2)) == tuple(
+                x + y for x, y in zip(e1, e2)
+            )
+
+    def test_product_up_to_the_degree_limit_is_exact(self):
+        ctx = context(2)
+        x, y = ctx.variables()
+        big = LIMIT // 2
+        f = Polynomial(ctx, {(big, 0): 3}) * Polynomial(ctx, {(0, big - 1): 5})
+        assert f.sorted_terms() == [(Monomial((big, big - 1)), 15)]
+        assert f.total_degree() == LIMIT - 1
+        g = Polynomial(ctx, {(LIMIT - 2, 0): 1}) * x
+        assert g.sorted_terms() == [(Monomial((LIMIT - 1, 0)), 1)]
+        assert g.degree_in("x0") == LIMIT - 1 and g.degree_in("x1") == 0
+        assert (y ** (LIMIT - 1)).sorted_terms() == [(Monomial((0, LIMIT - 1)), 1)]
+
+    def test_products_past_the_degree_limit_raise(self):
+        ctx = context(2)
+        x, y = ctx.variables()
+        top = Polynomial(ctx, {(LIMIT - 1, 0): 1})
+        with pytest.raises(DegreeError):
+            top * y
+        with pytest.raises(DegreeError):
+            (x * y) ** (LIMIT // 2)
+        with pytest.raises(DegreeError):
+            x ** LIMIT
+        with pytest.raises(DegreeError):
+            Polynomial(ctx, {(LIMIT, 0): 1})
+        with pytest.raises(DegreeError):
+            top.substitute({"x0": x * y, "x1": y})
+        with pytest.raises(DegreeError):
+            x.homogenize("h", LIMIT)
+        # a zero factor has no degree and never trips the guard
+        assert (top * Polynomial.zero(ctx)).is_zero()
+        assert top.coefficient((LIMIT, 0)) == 0

@@ -221,6 +221,66 @@ class TestHomogenize:
         assert g == uv.variable("u") + 2 * uv.variable("v")
 
 
+class TestExponentViews:
+    """Views that unpack monomial keys, against the exponent tuples given."""
+
+    def random_terms(self, rng, nvars):
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            exps = tuple(rng.randint(0, 5) for _ in range(nvars))
+            terms[exps] = Fraction(rng.choice([-7, -2, 1, 3, 5]), rng.randint(1, 4))
+        return terms
+
+    def test_views_match_the_exponent_tuples(self):
+        rng = random.Random(64)
+        for _ in range(40):
+            nvars = rng.randint(1, 5)
+            ctx = VarContext([f"v{i}" for i in range(nvars)])
+            terms = self.random_terms(rng, nvars)
+            f = Polynomial(ctx, terms)
+            assert dict(f.sorted_terms()) == {Monomial(e): c for e, c in terms.items()}
+            for e, c in terms.items():
+                assert f.coefficient(e) == c
+            assert f.coefficient((9,) * nvars) == 0
+            assert f.coefficient((1,) * (nvars + 1)) == 0
+            assert f.total_degree() == max(sum(e) for e in terms)
+            assert f.leading_monomial() == max(Monomial(e) for e in terms)
+            assert f.leading_coefficient() == terms[f.leading_monomial().exponents]
+            i = rng.randrange(nvars)
+            name = ctx.names[i]
+            assert f.degree_in(name) == max(e[i] for e in terms)
+            assert set(f.variables_present()) == {
+                ctx.names[j] for j in range(nvars) if any(e[j] for e in terms)
+            }
+            derivative = {}
+            for e, c in terms.items():
+                if e[i]:
+                    key = e[:i] + (e[i] - 1,) + e[i + 1:]
+                    derivative[key] = c * e[i]
+            assert f.partial_derivative(name) == Polynomial(ctx, derivative)
+            for k, coeff in enumerate(f.coefficients_in(name)):
+                assert coeff == Polynomial(ctx, {
+                    e[:i] + (0,) + e[i + 1:]: c for e, c in terms.items() if e[i] == k
+                })
+            if nvars > 1:
+                dropped = VarContext(ctx.names[:i] + ctx.names[i + 1:])
+                collapsed = {}
+                for e, c in terms.items():
+                    key = e[:i] + e[i + 1:]
+                    collapsed[key] = collapsed.get(key, 0) + c
+                assert f.dehomogenize(name) == Polynomial(dropped, collapsed)
+
+    def test_order_is_canonical_whatever_the_construction_order(self):
+        ctx = VarContext(["x", "y", "z"])
+        x, y, z = ctx.variables()
+        forward = (x + y + z) ** 3 - 2 * x * y * z
+        backward = -2 * z * y * x + (z + y + x) * (z + x + y) * (y + z + x)
+        assert forward == backward and hash(forward) == hash(backward)
+        assert format_polynomial(forward) == format_polynomial(backward)
+        assert forward.sorted_terms() == backward.sorted_terms()
+        assert forward.leading_monomial() == Monomial((3, 0, 0))
+
+
 class TestResultant:
     def test_linear_pair_symbolic(self):
         ctx = VarContext(["p", "a", "b"])
