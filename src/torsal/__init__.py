@@ -9,6 +9,7 @@ from torsal.errors import (
     ContextMismatchError,
     DegreeError,
     ExprSyntaxError,
+    InexactDivisionError,
     MissingAssignmentError,
     NonHomogeneousError,
     NotContainedError,
@@ -32,6 +33,7 @@ __all__ = [
     "UnknownVariableError",
     "MissingAssignmentError",
     "DegreeError",
+    "InexactDivisionError",
     "SingularMatrixError",
     "NonHomogeneousError",
     "PointNotOnSurfaceError",

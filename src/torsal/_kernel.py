@@ -22,7 +22,10 @@ shown. A dict is never changed once built (add_into changes only the dict
 its caller is building), so a result may share pairs, or be, an input.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd
+
+from torsal.errors import InexactDivisionError
 
 WIDTH = 32
 MASK = (1 << WIDTH) - 1
@@ -160,6 +163,76 @@ def terms_pow(a, n):
     for _ in range(n - 1):
         result = terms_mul(result, a)
     return result
+
+
+def terms_exact_div(a, b):
+    """The term dict q with q * b == a, for a nonzero term dict b.
+
+    Division by b's leading term: each step takes the remainder's largest
+    key, its grlex leading monomial, divides that term by b's leading term
+    and subtracts the quotient term times b. The leading monomial of a
+    nonzero remainder is a multiple of b's exactly when b divides it, so
+    the first one that is not (some exponent field of its key minus the
+    lead key borrows) means b does not divide a: InexactDivisionError,
+    never a wrong quotient.
+    """
+    if not b:
+        raise ZeroDivisionError("exact division by the zero polynomial")
+    if not a:
+        return {}
+    lead = max(b)
+    ln, ld = b[lead]
+    rest = [(key, pair) for key, pair in b.items() if key != lead]
+    # a field of key - lead borrows exactly when the subtraction carries a
+    # borrow into the lowest bit of the field above it; remainder keys
+    # never exceed max(a), so these bits cover every field boundary
+    boundaries = 0
+    for bit in range(WIDTH, max(a).bit_length(), WIDTH):
+        boundaries |= 1 << bit
+    r = dict(a)
+    get = r.get
+    heap = [-key for key in r]  # max-heap of remainder keys, stale ones skipped
+    heapify(heap)
+    q = {}
+    while heap:
+        key = -heappop(heap)
+        pair = r.pop(key, None)
+        if pair is None:
+            continue
+        shift = key - lead
+        if shift < 0 or (key ^ lead ^ shift) & boundaries:
+            raise InexactDivisionError(
+                "exact division leaves a remainder: a leading monomial of "
+                "the remainder is not a multiple of the divisor's"
+            )
+        n1, d1 = pair
+        if d1 == 1 and ld == 1 and n1 % ln == 0:
+            cn, cd = n1 // ln, 1
+        else:
+            cn, cd = rat_mul(n1, d1, ld, ln)
+            if cd < 0:
+                cn, cd = -cn, -cd
+        q[shift] = (cn, cd)
+        for k2, (n2, d2) in rest:
+            k = shift + k2
+            cur = get(k)
+            if cd == 1 and d2 == 1:
+                pn, pd = cn * n2, 1
+            else:
+                pn, pd = rat_mul(cn, cd, n2, d2)
+            if cur is None:
+                r[k] = (-pn, pd)
+                heappush(heap, -k)
+                continue
+            if cur[1] == 1 and pd == 1:
+                s = (cur[0] - pn, 1)
+            else:
+                s = rat_add(cur[0], cur[1], -pn, pd)
+            if s[0]:
+                r[k] = s
+            else:
+                del r[k]
+    return q
 
 
 def terms_eval(a, point):

@@ -34,6 +34,10 @@ class DegreeError(TorsalError):
     """A degree precondition failed (homogenize, resultant, discriminant)."""
 
 
+class InexactDivisionError(TorsalError):
+    """An exact polynomial division would leave a remainder."""
+
+
 class SingularMatrixError(TorsalError):
     """Matrix has zero determinant where an invertible one is required."""
 

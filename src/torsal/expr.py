@@ -12,7 +12,8 @@ minus: "-z1^2" is (-z1)^2, which is why the canonical formatter writes
 such leading terms as "-1*z1^2". Syntax errors carry the byte offset of
 the offending input. Parentheses and unary minus nest at most
 MAX_NESTING deep, so hostile input gets a syntax error instead of
-exhausting the interpreter's stack; sums and products of any length are
+exhausting the interpreter's stack. Sums and products are flat n-ary
+nodes, so one of any length is built, compared, hashed, printed and
 evaluated without recursion.
 """
 
@@ -51,24 +52,20 @@ class Pow:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
+class Sum:
+    """Signed summands in order: a - b + c is Sum(((1, a), (-1, b), (1, c)))."""
+
+    terms: tuple
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
+class Product:
+    """Factors in order: a*b*c is Product((a, b, c))."""
+
+    factors: tuple
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Num, Var, Neg, Pow, Add, Sub, Mul]
+Node = Union[Num, Var, Neg, Pow, Sum, Product]
 
 # -- tokenizer ------------------------------------------------------------
 
@@ -142,19 +139,18 @@ class _Parser:
         return self.take()
 
     def expr(self) -> Node:
-        node = self.term()
+        terms = [(1, self.term())]
         while self.peek().kind in "+-":
-            op = self.take().kind
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            sign = 1 if self.take().kind == "+" else -1
+            terms.append((sign, self.term()))
+        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self) -> Node:
-        node = self.factor()
+        factors = [self.factor()]
         while self.peek().kind == "*":
             self.take()
-            node = Mul(node, self.factor())
-        return node
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def factor(self) -> Node:
         node = self.base()
@@ -215,31 +211,19 @@ def parse(text: str) -> Node:
 def to_polynomial(node: Node, context: VarContext) -> Polynomial:
     """Evaluate an AST in the polynomial ring of `context`.
 
-    A chain of '+' and '-' is summed into one term dict and a chain of
-    '*' is folded left to right, both without recursion; only nesting
-    (bounded by the parser) recurses. Raises UnknownVariableError for
-    identifiers outside the context.
+    A Sum is summed into one term dict and a Product is folded left to
+    right; only nesting (bounded by the parser) recurses. Raises
+    UnknownVariableError for identifiers outside the context.
     """
-    if isinstance(node, (Add, Sub)):
-        summands = []
-        while isinstance(node, (Add, Sub)):
-            summands.append((1 if isinstance(node, Add) else -1, node.right))
-            node = node.left
-        summands.append((1, node))
+    if isinstance(node, Sum):
         return signed_sum(
-            context,
-            [(sign, to_polynomial(n, context)) for sign, n in reversed(summands)],
+            context, [(sign, to_polynomial(n, context)) for sign, n in node.terms]
         )
-    if isinstance(node, Mul):
-        factors = [node.right]
-        while isinstance(node.left, Mul):
-            node = node.left
-            factors.append(node.right)
-        factors.append(node.left)
+    if isinstance(node, Product):
         # numbers, variables and their powers fold into one term; the
         # other factors are multiplied in (left to right, as written)
         coefficient, exps, product = 1, [0] * len(context), None
-        for factor in reversed(factors):
+        for factor in node.factors:
             base, e = (factor.base, factor.exponent) if isinstance(factor, Pow) else (factor, 1)
             if isinstance(base, Num):
                 coefficient *= base.value ** e

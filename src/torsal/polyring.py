@@ -17,6 +17,23 @@ evaluation do not depend on it. Coefficients are exposed as
 fractions.Fraction. Cross-context arithmetic is a hard error, never a
 coercion.
 
+Exact division: ``f.exact_div(g)`` is the q with q*g = f. The kernel
+divides by g's leading term, taking the remainder's grlex-largest
+monomial each step, and raises InexactDivisionError as soon as that
+monomial is not a multiple of g's leading one, which happens exactly when
+g does not divide f; a wrong quotient is never returned.
+
+Resultants: ``sylvester_resultant`` never builds the Sylvester matrix. It
+runs the subresultant polynomial remainder sequence in the eliminated
+variable, with coefficients in the ring of the remaining variables
+(Collins 1967; Brown and Traub 1971; Cohen, "A Course in Computational
+Algebraic Number Theory", Alg. 3.3.7, without content removal): each
+pseudo-remainder is divided exactly by g*h^delta and each new h is
+g^delta divided exactly by h^(delta-1). The number of ring operations
+grows polynomially in the degrees, where cofactor expansion of the
+matrix grows factorially. det_over_ring stays cofactor expansion for the
+small, sparse matrices of frames and adjugates.
+
 Sign conventions, fixed here and relied on by callers:
 
 * ``sylvester_resultant(f, g, var)`` is the determinant of the Sylvester
@@ -369,6 +386,19 @@ class Polynomial:
             raise ZeroDivisionError("division of a polynomial by zero")
         return self * (Fraction(1) / Fraction(other))
 
+    def exact_div(self, other: "Polynomial") -> "Polynomial":
+        """The polynomial q with q * other == self.
+
+        Raises InexactDivisionError when other does not divide self, and
+        ZeroDivisionError when other is zero.
+        """
+        if not isinstance(other, Polynomial):
+            raise TypeError(f"exact_div needs a Polynomial, got {type(other).__name__}")
+        self._check_context(other)
+        return Polynomial._make(
+            self.context, K.terms_exact_div(self._terms, other._terms)
+        )
+
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a non-negative int")
@@ -582,11 +612,38 @@ def _det(rows):
     return total
 
 
+def _pseudo_remainder(a, b):
+    """R with lc(b)^(deg a - deg b + 1) * a = Q*b + R and deg R < deg b.
+
+    a, b and R are coefficient lists in one variable, constant term first,
+    with a nonzero last entry (R is [] when it is zero); len(a) >= len(b).
+    """
+    lead, rest = b[-1], b[:-1]
+    r = list(a)
+    steps = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        # r <- lead * r - top * x^k * b; the top coefficients cancel
+        top = r.pop()
+        k = len(r) - len(rest)
+        r = [c * lead if c else c for c in r]
+        for j, c in enumerate(rest):
+            if c:
+                r[k + j] = r[k + j] - top * c
+        steps -= 1
+        while r and not r[-1]:
+            r.pop()
+    if steps and r:
+        scale = lead ** steps
+        r = [c * scale for c in r]
+    return r
+
+
 def sylvester_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """Resultant of f and g with respect to `var`.
 
-    Standard Sylvester layout (f-rows first, descending coefficients);
-    see the module docstring for the resulting sign convention.
+    The determinant of the Sylvester matrix (f-rows first, descending
+    coefficients; see the module docstring for the sign convention),
+    computed by the subresultant PRS without building the matrix.
     """
     f._check_context(g)
     m = f.degree_in(var)
@@ -595,16 +652,33 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
         raise DegreeError(f"first input has degree {m} in {var!r}; need >= 1")
     if n < 1:
         raise DegreeError(f"second input has degree {n} in {var!r}; need >= 1")
-    fc = f.coefficients_in(var)[::-1]  # [a_m, ..., a_0]
-    gc = g.coefficients_in(var)[::-1]
-    size = m + n
-    zero = Polynomial.zero(f.context)
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + fc + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + gc + [zero] * (size - n - 1 - i))
-    return det_over_ring(rows)
+    sign = 1
+    if m < n:  # Res(f, g) = (-1)^(mn) Res(g, f)
+        f, g = g, f
+        sign = -1 if m * n % 2 else 1
+    a = f.coefficients_in(var)
+    b = g.coefficients_in(var)
+    one = Polynomial.one(f.context)
+    lead = h = one  # Cohen's g and h
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return Polynomial.zero(f.context)
+        divisor = lead * h ** delta
+        if divisor != one:
+            r = [c.exact_div(divisor) for c in r]
+        a, b = b, r
+        lead = a[-1]
+        if delta == 1:
+            h = lead
+        elif delta > 1:
+            h = (lead ** delta).exact_div(h ** (delta - 1))
+    d = len(a) - 1
+    res = b[0] if d == 1 else (b[0] ** d).exact_div(h ** (d - 1))
+    return res if sign > 0 else -res
 
 
 def discriminant(f: Polynomial, var: str) -> Polynomial:

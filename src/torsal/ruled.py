@@ -332,12 +332,15 @@ def implicitize_plane_family(lf: LineFamily, outer=("z0", "z4")) -> Hypersurface
 # -- symbolic frame and focal analysis ------------------------------------
 
 
-def _symbolic_frame(ctx: VarContext, p_name: str = "p", q_name: str = "q"):
-    """Frame rows B0..B4 with Polynomial entries over ctx."""
+def _symbolic_frame(ctx: VarContext, p_name: str = "p", q_name: str | None = "q"):
+    """Frame rows B0..B4 with Polynomial entries over ctx.
+
+    With q_name None the context has no q, and the frame is the one at q = 0.
+    """
     p = ctx.variable(p_name)
-    q = ctx.variable(q_name)
     one = Polynomial.one(ctx)
     zero = Polynomial.zero(ctx)
+    q = zero if q_name is None else ctx.variable(q_name)
     return [
         [one, zero, zero, zero, p],
         [zero, one, -2 * p, -(p ** 2), zero],
@@ -600,7 +603,7 @@ def pencil_structure_report(h: Hypersurface) -> PencilReport:
 
     pctx = VarContext(["alpha", "beta", "gamma", "p"])
     alpha, beta, gamma = (pctx.variable(s) for s in ("alpha", "beta", "gamma"))
-    fr = _symbolic_frame_p(pctx)
+    fr = _symbolic_frame(pctx, q_name=None)
     b0p, b1p = fr[0], fr[1]
     db1p = [c.partial_derivative("p") for c in b1p]
     plane_map = ParamMap(
@@ -631,18 +634,3 @@ def pencil_structure_report(h: Hypersurface) -> PencilReport:
         failed = [name for name, ok in checks if not ok]
         raise VerificationError("pencil certificate failed: " + "; ".join(failed))
     return PencilReport(tuple(checks), conic, PENCIL_VERDICT)
-
-
-def _symbolic_frame_p(ctx: VarContext):
-    """Frame rows over a context whose last variable plays the role of p
-    and that has no q (the q-dependent entries are set with q = 0)."""
-    p = ctx.variable("p")
-    one = Polynomial.one(ctx)
-    zero = Polynomial.zero(ctx)
-    return [
-        [one, zero, zero, zero, p],
-        [zero, one, -2 * p, -(p ** 2), zero],
-        [zero, zero, one, p, zero],
-        [zero, zero, zero, one, zero],
-        [zero, zero, zero, zero, one],
-    ]

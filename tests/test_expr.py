@@ -6,7 +6,16 @@ import pytest
 
 from conftest import make_random_polynomial
 from torsal.errors import ExprSyntaxError, UnknownVariableError
-from torsal.expr import MAX_NESTING, parse, parse_polynomial, to_polynomial
+from torsal.expr import (
+    MAX_NESTING,
+    Num,
+    Product,
+    Sum,
+    Var,
+    parse,
+    parse_polynomial,
+    to_polynomial,
+)
 from torsal.polyring import Polynomial, VarContext, format_polynomial
 
 XY = VarContext(["x", "y"])
@@ -48,6 +57,15 @@ class TestBasics:
         x = ctx.variable("x")
         assert parse_polynomial("x - 1 - 2", ctx) == x - 3
 
+    def test_sums_and_products_are_flat(self):
+        a, b, c, d = (Var(n) for n in "abcd")
+        assert parse("a - b*c*2 + (c - d)") == Sum((
+            (1, a),
+            (-1, Product((b, c, Num(2)))),
+            (1, Sum(((1, c), (-1, d)))),
+        ))
+        assert parse("a*b") == Product((a, b)) and parse("a") == a
+
     def test_multicharacter_identifiers(self):
         ctx = VarContext(["lam", "x10"])
         lam, x10 = ctx.variables()
@@ -59,6 +77,7 @@ class TestBasics:
 
     def test_ast_reuse(self):
         node = parse("x + y")
+        assert node == Sum(((1, Var("x")), (1, Var("y"))))
         assert to_polynomial(node, XY) == XY.variable("x") + XY.variable("y")
         other = VarContext(["x", "y", "z"])
         assert to_polynomial(node, other) == other.variable("x") + other.variable("y")
@@ -134,6 +153,15 @@ class TestNesting:
         assert f.term_count() == 1035
         text = format_polynomial(f)
         assert parse_polynomial(text, ctx) == f
+
+    def test_ast_of_a_long_sum_compares_hashes_and_prints(self):
+        ctx = VarContext(["x", "y", "z"])
+        text = format_polynomial(parse_polynomial("(x+y+z)^44", ctx))
+        first, second = parse(text), parse(text)
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second)
+        assert first != parse(text.replace("y^44", "y^43"))
+        assert to_polynomial(first, ctx).term_count() == 1035
 
 
 def random_expression(rng, names, depth=3):

@@ -13,7 +13,7 @@ import pytest
 
 import torsal
 from torsal import _kernel as K
-from torsal.errors import DegreeError
+from torsal.errors import DegreeError, InexactDivisionError
 from torsal.polyring import Monomial, Polynomial, VarContext
 
 # there is one kernel, in pure Python; the "[pure]" test ids stay as they were
@@ -172,6 +172,59 @@ class TestAgainstFractionOracle:
                 acc = impl.terms_mul(acc, ka)
         with pytest.raises(ValueError):
             impl.terms_pow({0: (1, 1)}, -1)
+
+    def test_exact_div_recovers_the_cofactor(self, impl):
+        for _, ctx, _, draw in cases(26, 80, max_terms=6, max_exp=3):
+            a, b = draw(), draw()
+            if not b:
+                continue
+            kb = pack(ctx, b)
+            product = pack(ctx, ref_mul(a, b))
+            assert unpack(ctx, impl.terms_exact_div(product, kb)) == a
+            # the inputs are left as they were
+            assert product == pack(ctx, ref_mul(a, b)) and kb == pack(ctx, b)
+
+    def test_exact_div_by_a_constant_and_of_zero(self, impl):
+        for rng, ctx, nvars, draw in cases(27, 40):
+            a = draw()
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            constant = {(0,) * nvars: c}
+            got = impl.terms_exact_div(pack(ctx, a), pack(ctx, constant))
+            assert unpack(ctx, got) == {e: v / c for e, v in a.items()}
+            b = draw() or constant
+            assert impl.terms_exact_div({}, pack(ctx, b)) == {}
+        with pytest.raises(ZeroDivisionError):
+            impl.terms_exact_div({0: (1, 1)}, {})
+
+
+def test_exact_div_refuses_what_does_not_divide():
+    ctx = context(3)
+
+    def div(a, b):
+        return K.terms_exact_div(pack(ctx, a), pack(ctx, b))
+
+    x, x2, xy2 = (1, 0, 0), (2, 0, 0), (1, 2, 0)
+    one, y, z = (0, 0, 0), (0, 1, 0), (0, 0, 1)
+    # the leading monomial is not a multiple of the divisor's although its
+    # degree is large enough: x*y^2 / x^2 borrows from the x field
+    with pytest.raises(InexactDivisionError):
+        div({xy2: Fraction(1)}, {x2: Fraction(1)})
+    with pytest.raises(InexactDivisionError):
+        div({z: Fraction(1)}, {y: Fraction(1)})
+    # a borrow out of a wide field: y^(2^31) / x
+    with pytest.raises(InexactDivisionError):
+        div({(0, LIMIT // 2, 0): Fraction(1)}, {x: Fraction(1)})
+    # a remainder is left: (x^2 + 1) / x, (x^2 + y) / (x + 1), (x^2/3) / (2x + z)
+    for a, b in (
+        ({x2: Fraction(1), one: Fraction(1)}, {x: Fraction(1)}),
+        ({x2: Fraction(1), y: Fraction(1)}, {x: Fraction(1), one: Fraction(1)}),
+        ({x2: Fraction(1, 3)}, {x: Fraction(2), z: Fraction(1)}),
+    ):
+        with pytest.raises(InexactDivisionError):
+            div(a, b)
+    assert div({(1, LIMIT // 2, 0): Fraction(6)}, {x: Fraction(4)}) == pack(
+        ctx, {(0, LIMIT // 2, 0): Fraction(3, 2)}
+    )
 
 
 def test_cancellation_drops_terms():

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_random_homogeneous, make_random_polynomial
+from torsal import _kernel
 from torsal.errors import (
     ContextMismatchError,
     DegreeError,
+    InexactDivisionError,
     MissingAssignmentError,
     UnknownVariableError,
 )
@@ -23,6 +25,7 @@ from torsal.polyring import (
     primitive_part,
     sylvester_resultant,
 )
+from torsal.ruled import LineFamily, envelope
 
 
 class TestContext:
@@ -332,6 +335,187 @@ class TestResultant:
         x = ctx.variable("x")
         assert discriminant((2 * x - 3) ** 2, "x") == 0
         assert discriminant((x - 1) * (x - 2), "x") == 1
+
+
+def fraction_product(f, g):
+    """f * g computed on {exponents: Fraction} dicts, outside the kernel."""
+    out = {}
+    for m1, c1 in f.sorted_terms():
+        for m2, c2 in g.sorted_terms():
+            e = tuple(x + y for x, y in zip(m1.exponents, m2.exponents))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return Polynomial(f.context, out)
+
+
+def random_integer_polynomial(rng, ctx, max_terms=6, max_exp=3):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(0, max_exp) for _ in ctx.names)
+        terms[exps] = rng.randint(-9, 9)
+    return Polynomial(ctx, terms)
+
+
+class TestExactDivision:
+    def test_recovers_the_cofactor(self):
+        rng = random.Random(71)
+        ctx = VarContext(["x", "y", "z"])
+        for i in range(60):
+            if i % 2:
+                q = random_integer_polynomial(rng, ctx)
+                b = random_integer_polynomial(rng, ctx)
+            else:
+                q = make_random_polynomial(rng, ctx)
+                b = make_random_polynomial(rng, ctx)
+            if b.is_zero():
+                continue
+            assert fraction_product(q, b).exact_div(b) == q
+
+    def test_constant_divisor_and_zero_dividend(self):
+        rng = random.Random(72)
+        ctx = VarContext(["x", "y"])
+        for _ in range(20):
+            f = make_random_polynomial(rng, ctx)
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([-1, 1])
+            assert f.exact_div(Polynomial.constant(ctx, c)) == f / c
+            assert Polynomial.zero(ctx).exact_div(f + 1) == 0
+
+    def test_refusals(self):
+        ctx = VarContext(["x", "y"])
+        x, y = ctx.variables()
+        with pytest.raises(InexactDivisionError):
+            (x ** 2 + 1).exact_div(x)  # a remainder is left
+        with pytest.raises(InexactDivisionError):
+            (x * y ** 2).exact_div(x ** 2)  # leading monomial not a multiple
+        with pytest.raises(ZeroDivisionError):
+            x.exact_div(Polynomial.zero(ctx))
+        with pytest.raises(ContextMismatchError):
+            x.exact_div(VarContext(["x"]).variable("x"))
+
+
+def det_fraction(rows):
+    """Determinant of a rational matrix by Gaussian elimination."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n, det = len(a), Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            a[r] = [u - factor * v for u, v in zip(a[r], a[col])]
+    return det
+
+
+def numeric_sylvester(f, g, var, point):
+    """Sylvester determinant of f and g in `var` with the other variables
+    set to `point` (a value for every context variable; var's is unused).
+    Both rows keep their formal length, so a vanishing leading coefficient
+    specialises the determinant and nothing else."""
+    fc = [c.evaluate(point) for c in reversed(f.coefficients_in(var))]
+    gc = [c.evaluate(point) for c in reversed(g.coefficients_in(var))]
+    m, n = len(fc) - 1, len(gc) - 1
+    rows = [[0] * i + fc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + gc + [0] * (m - 1 - i) for i in range(m)]
+    return det_fraction(rows)
+
+
+def random_in_x(rng, ctx, degree):
+    """Random polynomial of exact degree `degree` in x, rational
+    coefficients in the other variables."""
+    others = len(ctx.names) - 1
+    f = Polynomial.zero(ctx)
+    while f.degree_in("x") != degree:
+        terms = {}
+        for k in range(degree + 1):
+            for _ in range(rng.randint(0, 2)):
+                exps = (k,) + tuple(rng.randint(0, 2) for _ in range(others))
+                terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        f = Polynomial(ctx, terms)
+    return f
+
+
+def dense_line_family(rng, degree):
+    """sum_k p^k (a_k z1 + b_k z2 + c_k z3) with nonzero integer a, b, c."""
+    ctx = VarContext(["p", "z1", "z2", "z3"])
+    terms = {}
+    for k in range(degree + 1):
+        for j in range(3):
+            exps = [k, 0, 0, 0]
+            exps[1 + j] = 1
+            terms[tuple(exps)] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    return LineFamily(Polynomial(ctx, terms), "p")
+
+
+class TestResultantAgainstSylvesterDeterminant:
+    def test_random_pairs_at_rational_points(self):
+        rng = random.Random(73)
+        ctx = VarContext(["x", "a", "b"])
+        for _ in range(40):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)  # m < n, m = n and m > n
+            f, g = random_in_x(rng, ctx, m), random_in_x(rng, ctx, n)
+            res = sylvester_resultant(f, g, "x")
+            for _ in range(3):
+                point = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                               for _ in range(2)]
+                assert res.evaluate(point) == numeric_sylvester(f, g, "x", point)
+
+    def test_degree_one_inputs_and_swapped_arguments(self):
+        ctx = VarContext(["x", "a", "b", "c"])
+        x, a, b, c = ctx.variables()
+        line = b * x - a
+        cubic = x ** 3 + c * x - 1
+        # Res(b*x - a, h) = b^deg(h) * h(a/b); (-1)^(1*3) for the swap
+        assert sylvester_resultant(line, cubic, "x") == a ** 3 + c * a * b ** 2 - b ** 3
+        assert sylvester_resultant(cubic, line, "x") == -(a ** 3 + c * a * b ** 2 - b ** 3)
+        assert sylvester_resultant(x - a, x - b, "x") == a - b
+
+    def test_common_root_gives_zero(self):
+        rng = random.Random(74)
+        ctx = VarContext(["x", "a", "b"])
+        x, a, _ = ctx.variables()
+        for m, n in ((1, 3), (3, 1), (2, 2), (4, 2)):
+            f = random_in_x(rng, ctx, m) * (x - a)
+            g = random_in_x(rng, ctx, n) * (x - a)
+            assert sylvester_resultant(f, g, "x") == 0
+
+    def test_dense_degree_seven_envelope(self):
+        rng = random.Random(75)
+        lf = dense_line_family(rng, 7)
+        env = envelope(lf)
+        assert "p" not in env.variables_present()
+        df = lf.f.partial_derivative("p")
+        ratio = None
+        for _ in range(4):
+            point = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+            got, ref = env.evaluate(point), numeric_sylvester(lf.f, df, "p", point)
+            assert (got == 0) == (ref == 0)
+            if ref:
+                ratio = ratio if ratio is not None else got / ref
+                assert got == ratio * ref
+        assert ratio is not None
+
+    def test_envelope_work_grows_polynomially(self, monkeypatch):
+        # a count, not a time: cofactor expansion of the 11x11 Sylvester
+        # matrix of a degree-6 family made 131,183 multiplications, and
+        # the 15x15 of degree 8 would make millions; the count stops the
+        # run as soon as it passes the bound
+        calls = []
+
+        def counted(original):
+            def call(*args):
+                calls.append(None)
+                assert len(calls) < 2000, "envelope work is not polynomial"
+                return original(*args)
+            return call
+
+        for name in ("terms_mul", "terms_exact_div"):
+            monkeypatch.setattr(_kernel, name, counted(getattr(_kernel, name)))
+        envelope(dense_line_family(random.Random(76), 8))
+        assert calls
 
 
 def make_nonconstant(rng, ctx):
