@@ -13,6 +13,7 @@ from torsal.hypersurface import Hypersurface
 from torsal.polyring import Polynomial, VarContext
 
 PROJECTIVE_NAMES = ("z0", "z1", "z2", "z3", "z4")
+RATIONAL_NAMES = ("x1", "x2", "x4", "u", "v")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ def _build() -> dict:
     actx = VarContext(["x1", "x2", "x3", "x4"])
     x1, x2, x3, x4 = actx.variables()
 
-    rctx = VarContext(["x1", "x2", "x4", "u", "v"])
+    rctx = VarContext(RATIONAL_NAMES)
     r1, r2, r4, u, v = rctx.variables()
 
     entries = [

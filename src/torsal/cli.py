@@ -37,8 +37,8 @@ from torsal.expr import parse_polynomial
 from torsal.hypersurface import (
     Hypersurface,
     ParamMap,
-    contains_parametrized,
     gradient,
+    pullback,
     singular_locus_generators,
 )
 from torsal.polyring import Polynomial, VarContext, format_polynomial
@@ -207,16 +207,14 @@ def _cmd_singular_locus(args) -> tuple:
 def _cmd_verify_parametrization(args) -> tuple:
     h = _catalog_surface(args.surface)
     pm = _parse_param_map(args.param_map, args.params)
-    pullback = h.f.substitute(
-        dict(zip(h.context.names, pm.components)), target_context=pm.context
-    )
-    contained = pullback.is_zero()
+    residual = pullback(h.f, pm)
+    contained = residual.is_zero()
     payload = {
         "surface": args.surface,
         "params": list(pm.context.names),
         "map": [_poly_str(c) for c in pm.components],
         "contained": contained,
-        "residual": _poly_str(pullback),
+        "residual": _poly_str(residual),
     }
     return payload, _EXIT_OK if contained else _EXIT_VERIFY
 
@@ -241,7 +239,10 @@ def _cmd_gauss_rank(args) -> tuple:
 def _cmd_envelope(args) -> tuple:
     context = _parse_var_context(args.vars)
     f = parse_polynomial(args.family, context)
-    family = ruled.LineFamily(f, args.param)
+    try:
+        family = ruled.LineFamily(f, args.param)
+    except ValueError as exc:  # not the parameter plus 3 plane coordinates
+        raise _UsageError(f"--vars: {exc}") from None
     env = ruled.envelope(family)
     method = "discriminant" if f.degree_in(args.param) == 2 else "resultant"
     payload = {

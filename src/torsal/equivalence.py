@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from torsal import catalog
+from torsal.catalog import PROJECTIVE_NAMES, RATIONAL_NAMES
 from torsal.errors import ContextMismatchError, DegreeError, VerificationError
 from torsal.polyring import (
     Polynomial,
@@ -22,8 +24,6 @@ from torsal.polyring import (
 )
 
 TRIG_NAMES = ("x1", "x2", "x4", "c", "s")
-RATIONAL_NAMES = ("x1", "x2", "x4", "u", "v")
-PROJECTIVE_NAMES = ("z0", "z1", "z2", "z3", "z4")
 
 
 class TrigSurface:
@@ -209,8 +209,7 @@ def bourgain_affine_chain() -> EquivalenceReport:
         ("x4", x4),
     )
     eq3 = eq2.substitute(dict(forward), target_context=actx)
-    expected3 = x1 * x4 ** 2 + x2 * x4 - x3
-    if eq3 != expected3:
+    if eq3 != catalog.get("bourgain-affine").polynomial:
         raise VerificationError("linear change did not produce the affine cubic")
     step2 = EquivalenceStep(
         "admissible linear change of coordinates",
@@ -245,10 +244,8 @@ def bourgain_affine_chain() -> EquivalenceReport:
 
 
 def standard_cubic() -> Polynomial:
-    """z1*z4^2 + z0*z2*z4 - z0^2*z3 in the projective context."""
-    ctx = VarContext(PROJECTIVE_NAMES)
-    z0, z1, z2, z3, z4 = ctx.variables()
-    return z1 * z4 ** 2 + z0 * z2 * z4 - z0 ** 2 * z3
+    """The catalog's 'bourgain' cubic, in the projective coordinates."""
+    return catalog.get("bourgain").polynomial
 
 
 def sacksteder_to_bourgain() -> EquivalenceReport:
@@ -271,10 +268,7 @@ def sacksteder_to_bourgain() -> EquivalenceReport:
     step2 = EquivalenceStep(
         "normalize the leading sign", w, e, "scalar-normalization", factor
     )
-    rctx = e.context
-    x1, x2, x4, u, v = (rctx.variable(n) for n in RATIONAL_NAMES)
-    expected = (x4 + x1) * u ** 2 + (x4 - x1) * v ** 2 - 2 * x2 * u * v
-    if e != expected:
+    if e != catalog.get("sacksteder-rational").polynomial:
         raise VerificationError(
             "rationalized form is not the expected quadratic-in-(u,v) cubic"
         )

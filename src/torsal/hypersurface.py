@@ -9,6 +9,7 @@ the result must be the zero polynomial, an identity in all parameters.
 from __future__ import annotations
 
 from torsal.errors import (
+    ContextMismatchError,
     NonHomogeneousError,
     PointNotOnSurfaceError,
     SingularPointError,
@@ -130,12 +131,17 @@ def contains_point(h: Hypersurface, pt: ProjPoint) -> bool:
 def contains_parametrized(h: Hypersurface, pm: ParamMap) -> bool:
     """Whether f composed with pm is the zero polynomial — an identity
     in all parameters, not a sampled check."""
-    return _pullback(h, pm).is_zero()
+    return pullback(h.f, pm).is_zero()
 
 
-def _pullback(h: Hypersurface, pm: ParamMap) -> Polynomial:
-    assignment = dict(zip(h.context.names, pm.components))
-    return h.f.substitute(assignment, target_context=pm.context)
+def pullback(f: Polynomial, pm: ParamMap) -> Polynomial:
+    """f composed with pm: f's five variables replaced by pm's components."""
+    if len(f.context) != 5:
+        raise ContextMismatchError(
+            f"a pullback needs a 5-variable context, got {len(f.context)}"
+        )
+    assignment = dict(zip(f.context.names, pm.components))
+    return f.substitute(assignment, target_context=pm.context)
 
 
 def tangent_hyperplane(h: Hypersurface, pt: ProjPoint) -> ProjPoint:

@@ -131,22 +131,26 @@ class FrameMatrix:
         return f"FrameMatrix({body})"
 
 
-def frame_bourgain(p, q) -> FrameMatrix:
-    """Moving frame B0..B4 adapted to the cubic's ruling, at parameters (p, q).
+def frame_rows(p, q) -> tuple:
+    """Moving frame B0..B4 adapted to the cubic's ruling, over any ring.
 
-    Row i gives B_i in the fixed A-frame; the determinant is 1 for all
-    (p, q), so this is always a frame.
+    Row i gives B_i in the fixed A-frame. Only ring arithmetic touches p
+    and q, so rational (p, q) give rational rows and polynomial ones give
+    rows over their ring; the determinant is 1 identically.
     """
-    p, q = _frac(p), _frac(q)
-    return FrameMatrix(
-        [
-            [1, 0, 0, 0, p],
-            [0, 1, -2 * p, -p * p, 0],
-            [q, 0, 1, p, p * q],
-            [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1],
-        ]
+    one, zero = p ** 0, p * 0
+    return (
+        (one, zero, zero, zero, p),
+        (zero, one, -2 * p, -(p * p), zero),
+        (q, zero, one, p, p * q),
+        (zero, zero, zero, one, zero),
+        (zero, zero, zero, zero, one),
     )
+
+
+def frame_bourgain(p, q) -> FrameMatrix:
+    """The frame_rows at rational (p, q), as a FrameMatrix."""
+    return FrameMatrix(frame_rows(_frac(p), _frac(q)))
 
 
 def change_polynomial_coordinates(f: Polynomial, m: FrameMatrix) -> Polynomial:

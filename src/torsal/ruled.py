@@ -19,23 +19,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from torsal import catalog
 from torsal.errors import (
     BaseLocusError,
     DegreeError,
     NotContainedError,
     VerificationError,
 )
-from torsal.hypersurface import Hypersurface, ParamMap, contains_parametrized, gradient
+from torsal.hypersurface import (
+    Hypersurface,
+    ParamMap,
+    contains_parametrized,
+    gradient,
+    pullback,
+)
 from torsal.polyring import (
     Polynomial,
     VarContext,
     det_over_ring,
     discriminant,
-    equal_up_to_scalar,
     primitive_part,
     sylvester_resultant,
 )
-from torsal.projgeom import ProjPoint, adjugate, frame_bourgain, rank
+from torsal.projgeom import ProjPoint, adjugate, frame_bourgain, frame_rows, rank
 
 SAMPLE_COUNT = 7
 DEFAULT_SEED = 1729
@@ -80,30 +86,6 @@ class LineFamily:
 
     def __repr__(self):
         return f"LineFamily({self.f}; param={self.param})"
-
-
-class GaussImage:
-    """The gradient of a hypersurface composed with a parametrization."""
-
-    __slots__ = ("map",)
-
-    def __init__(self, pm: ParamMap):
-        self.map = pm
-
-    @property
-    def components(self):
-        return self.map.components
-
-    @property
-    def context(self):
-        return self.map.context
-
-    @property
-    def params(self):
-        return self.map.params
-
-    def __repr__(self):
-        return f"GaussImage({', '.join(str(c) for c in self.components)})"
 
 
 class FocalSystem:
@@ -152,20 +134,25 @@ class PencilReport:
 # -- Gauss map and rank --------------------------------------------------
 
 
-def gauss_map(h: Hypersurface, pm: ParamMap) -> GaussImage:
+def gauss_map(h: Hypersurface, pm: ParamMap) -> ParamMap:
     """Each gradient component composed with pm.
 
     Requires pm to lie on h identically (NotContainedError otherwise):
-    off the surface the gradient is not a tangent-hyperplane field.
+    off the surface the gradient is not a tangent-hyperplane field. A map
+    into the singular locus has no Gauss image (VerificationError).
     """
     if not contains_parametrized(h, pm):
         raise NotContainedError(
             "parametrization does not lie on the hypersurface; "
             "its Gauss image is undefined"
         )
-    assignment = dict(zip(h.context.names, pm.components))
-    comps = [g.substitute(assignment, target_context=pm.context) for g in gradient(h)]
-    return GaussImage(ParamMap(comps))
+    comps = [pullback(g, pm) for g in gradient(h)]
+    if not any(comps):
+        raise VerificationError(
+            "the map lies in the singular locus, where the gradient "
+            "vanishes identically; its Gauss image is undefined"
+        )
+    return ParamMap(comps)
 
 
 def jacobian(pm) -> list:
@@ -175,7 +162,7 @@ def jacobian(pm) -> list:
     return [[c.partial_derivative(name) for name in params] for c in comps]
 
 
-def generic_rank(gi, seed: int = DEFAULT_SEED, sample_count: int = SAMPLE_COUNT) -> int:
+def generic_rank(gi, seed: int = DEFAULT_SEED) -> int:
     """Generic rank of the projectivized map: max over seeded samples of
     rank([Jacobian | image]) - 1.
 
@@ -187,7 +174,7 @@ def generic_rank(gi, seed: int = DEFAULT_SEED, sample_count: int = SAMPLE_COUNT)
     jac = jacobian(gi)
     rng = random.Random(seed)
     best = None
-    for _ in range(sample_count):
+    for _ in range(SAMPLE_COUNT):
         point = _sample_point(rng, len(params))
         image = [c.evaluate(point) for c in comps]
         if not any(image):
@@ -206,14 +193,14 @@ def generic_rank(gi, seed: int = DEFAULT_SEED, sample_count: int = SAMPLE_COUNT)
 # -- envelopes and the conic ---------------------------------------------
 
 
-def envelope(lf: LineFamily, param: str | None = None) -> Polynomial:
+def envelope(lf: LineFamily) -> Polynomial:
     """Envelope of the family: discriminant in the parameter.
 
     The quadratic case is primary; higher degrees fall back to the
     resultant of (f, df/dparam) with integer content removed. Families
     of degree < 2 in the parameter have no envelope (DegreeError).
     """
-    var = param if param is not None else lf.param
+    var = lf.param
     f = lf.f
     d = f.degree_in(var)
     if d == 2:
@@ -228,29 +215,27 @@ def envelope(lf: LineFamily, param: str | None = None) -> Polynomial:
 
 
 def conic_tangency_point(p) -> ProjPoint:
-    """Where the moving line touches its envelope: (0, 1, -2p, -p^2, 0)."""
+    """Where the moving line touches its envelope: frame row B1 at p."""
     p = Fraction(p)
-    return ProjPoint((Fraction(0), Fraction(1), -2 * p, -p * p, Fraction(0)))
+    return ProjPoint(frame_rows(p, p * 0)[1])
 
 
-def conic_tangency_map(param: str = "p") -> ParamMap:
-    """The symbolic tangency point as a one-parameter ParamMap."""
-    ctx = VarContext([param])
-    p = ctx.variable(param)
-    zero = Polynomial.zero(ctx)
-    return ParamMap([zero, Polynomial.one(ctx), -2 * p, -(p ** 2), zero])
+def conic_tangency_map() -> ParamMap:
+    """The tangency point, frame row B1, as a ParamMap in p."""
+    p = VarContext(["p"]).variable("p")
+    return ParamMap(frame_rows(p, p * 0)[1])
 
 
-def infinity_line_family(h: Hypersurface, param: str = "p") -> LineFamily:
-    """Restrict h to the slice {first coordinate = 1, last = param}: the
+def infinity_line_family(h: Hypersurface) -> LineFamily:
+    """Restrict h to the slice {first coordinate = 1, last = p}: the
     induced family of loci in the middle three coordinates.
 
     For a surface ruled over the line spanned by the first and last
     basis points this is a family of lines (LineFamily validates)."""
     names = h.context.names
     mid = names[1:4]
-    ctx = VarContext((param,) + mid)
-    p = ctx.variable(param)
+    ctx = VarContext(("p",) + mid)
+    p = ctx.variable("p")
     assignment = {
         names[0]: Polynomial.one(ctx),
         names[4]: p,
@@ -259,7 +244,7 @@ def infinity_line_family(h: Hypersurface, param: str = "p") -> LineFamily:
         names[3]: ctx.variable(mid[2]),
     }
     restricted = h.f.substitute(assignment, target_context=ctx)
-    return LineFamily(restricted, param)
+    return LineFamily(restricted, "p")
 
 
 def implicitize_plane_family(lf: LineFamily, outer=("z0", "z4")) -> Hypersurface:
@@ -332,35 +317,18 @@ def implicitize_plane_family(lf: LineFamily, outer=("z0", "z4")) -> Hypersurface
 # -- symbolic frame and focal analysis ------------------------------------
 
 
-def _symbolic_frame(ctx: VarContext, p_name: str = "p", q_name: str | None = "q"):
-    """Frame rows B0..B4 with Polynomial entries over ctx.
-
-    With q_name None the context has no q, and the frame is the one at q = 0.
-    """
-    p = ctx.variable(p_name)
-    one = Polynomial.one(ctx)
-    zero = Polynomial.zero(ctx)
-    q = zero if q_name is None else ctx.variable(q_name)
-    return [
-        [one, zero, zero, zero, p],
-        [zero, one, -2 * p, -(p ** 2), zero],
-        [q, zero, one, p, p * q],
-        [zero, zero, zero, one, zero],
-        [zero, zero, zero, zero, one],
-    ]
+def _generator(rows, lam) -> list:
+    """Z = B1 + lam*B2 from the frame rows: the generator's point at lam."""
+    return [b1 + lam * b2 for b1, b2 in zip(rows[1], rows[2])]
 
 
-def generator_map(p_name: str = "p", q_name: str = "q", lam_name: str = "lam") -> ParamMap:
+def generator_map() -> ParamMap:
     """The moving point Z = B1 + lam*B2 on the generator, in fixed coordinates."""
-    ctx = VarContext([p_name, q_name, lam_name])
-    frame = _symbolic_frame(ctx, p_name, q_name)
-    lam = ctx.variable(lam_name)
-    return ParamMap(
-        [b1 + lam * b2 for b1, b2 in zip(frame[1], frame[2])]
-    )
+    p, q, lam = VarContext(["p", "q", "lam"]).variables()
+    return ParamMap(_generator(frame_rows(p, q), lam))
 
 
-def focal_system(q_name: str = "q", lam_name: str = "lam") -> FocalSystem:
+def focal_system() -> FocalSystem:
     """Derive the focal system of the line foliation symbolically.
 
     Differentiates Z = B1 + lam*B2 by (p, q, lam), rewrites each partial
@@ -370,10 +338,9 @@ def focal_system(q_name: str = "q", lam_name: str = "lam") -> FocalSystem:
     of the motion transverse to the generator. Entries end up in the
     (q, lam) ring; the determinant is -lam^2.
     """
-    ctx = VarContext(["p", q_name, lam_name])
-    frame = _symbolic_frame(ctx, "p", q_name)
-    lam = ctx.variable(lam_name)
-    q = ctx.variable(q_name)
+    ctx = VarContext(["p", "q", "lam"])
+    p, q, lam = ctx.variables()
+    frame = frame_rows(p, q)
     zero = Polynomial.zero(ctx)
 
     det = det_over_ring(frame)
@@ -381,7 +348,7 @@ def focal_system(q_name: str = "q", lam_name: str = "lam") -> FocalSystem:
         raise VerificationError("frame determinant is not 1")
     inv = adjugate(frame)  # equals the inverse since det = 1
 
-    Z = [b1 + lam * b2 for b1, b2 in zip(frame[1], frame[2])]
+    Z = _generator(frame, lam)
 
     def in_frame(vec):
         # row vector of A-coordinates -> row vector of frame coordinates
@@ -389,12 +356,12 @@ def focal_system(q_name: str = "q", lam_name: str = "lam") -> FocalSystem:
             sum((vec[j] * inv[j][k] for j in range(5)), zero) for k in range(5)
         ]
 
-    d_lam = in_frame([c.partial_derivative(lam_name) for c in Z])
+    d_lam = in_frame([c.partial_derivative("lam") for c in Z])
     if d_lam != [zero, zero, Polynomial.one(ctx), zero, zero]:
         raise VerificationError("d(Z)/d(lam) is not the frame point B2")
 
     rows = []
-    for var in ("p", q_name):
+    for var in ("p", "q"):
         coeffs = in_frame([c.partial_derivative(var) for c in Z])
         # transverse part: B1, B2 components are motion along the
         # generator itself and are discarded
@@ -406,7 +373,6 @@ def focal_system(q_name: str = "q", lam_name: str = "lam") -> FocalSystem:
         rows.append((b0, b3))
     matrix = [[rows[0][0], rows[1][0]], [rows[0][1], rows[1][1]]]
 
-    ctx2 = VarContext([q_name, lam_name])
     out = []
     for row in matrix:
         out_row = []
@@ -521,17 +487,10 @@ def focal_points_on_generator(
     the result of focal_system() when the caller already has it; it does
     not depend on h, p or q."""
     p, q = Fraction(p), Fraction(q)
-    gm = generator_map()
+    rows = frame_bourgain(p, q).rows
     lam_ctx = VarContext(["lam"])
     lam = lam_ctx.variable("lam")
-    line = ParamMap(
-        [
-            c.substitute(
-                {"p": p, "q": q, "lam": lam}, target_context=lam_ctx
-            )
-            for c in gm.components
-        ]
-    )
+    line = ParamMap(_generator(rows, lam))
     if not contains_parametrized(h, line):
         raise NotContainedError(
             f"the generator at (p, q) = ({p}, {q}) does not lie on the "
@@ -542,12 +501,9 @@ def focal_points_on_generator(
         {"q": q, "lam": lam}, target_context=lam_ctx
     )
     roots, residual = rational_roots(det_q, "lam")
-    frame_rows = frame_bourgain(p, q).rows
     out = []
     for lam0, mult in roots:
-        coords = tuple(
-            b1 + lam0 * b2 for b1, b2 in zip(frame_rows[1], frame_rows[2])
-        )
+        coords = _generator(rows, lam0)
         pt = ProjPoint(coords)
         at_inf = coords[0] == 0 and coords[4] == 0
         out.append(FocalPoint(lam0, mult, pt, at_inf))
@@ -569,10 +525,7 @@ def pencil_structure_report(h: Hypersurface) -> PencilReport:
     cubic (in any variable names) is accepted; anything else raises
     VerificationError.
     """
-    n = h.context.names
-    v = [h.context.variable(name) for name in n]
-    std = v[1] * v[4] ** 2 + v[0] * v[2] * v[4] - v[0] ** 2 * v[3]
-    if h.f != std:
+    if h.f != catalog.get("bourgain").polynomial.rename(h.context.names):
         raise VerificationError(
             "pencil structure is certified only for the standard ruled "
             "cubic; got a different polynomial"
@@ -585,13 +538,11 @@ def pencil_structure_report(h: Hypersurface) -> PencilReport:
 
     conic = envelope(lf)
 
-    ctx = VarContext(["p", "q"])
-    frame = _symbolic_frame(ctx)
-    b0, b1, b2 = frame[0], frame[1], frame[2]
+    p, q = VarContext(["p", "q"]).variables()
+    b0, b1, b2 = frame_rows(p, q)[:3]
     center_fixed = all(c.partial_derivative("q").is_zero() for c in b1)
     checks.append(("pencil center does not move with q", center_fixed))
 
-    q = ctx.variable("q")
     db1 = [c.partial_derivative("p") for c in b1]
     in_plane = all(
         b2j == q * b0j - db1j / 2 for b2j, b0j, db1j in zip(b2, b0, db1)
@@ -601,10 +552,8 @@ def pencil_structure_report(h: Hypersurface) -> PencilReport:
          "direction, and the moving point", in_plane)
     )
 
-    pctx = VarContext(["alpha", "beta", "gamma", "p"])
-    alpha, beta, gamma = (pctx.variable(s) for s in ("alpha", "beta", "gamma"))
-    fr = _symbolic_frame(pctx, q_name=None)
-    b0p, b1p = fr[0], fr[1]
+    alpha, beta, gamma, p = VarContext(["alpha", "beta", "gamma", "p"]).variables()
+    b0p, b1p = frame_rows(p, p * 0)[:2]
     db1p = [c.partial_derivative("p") for c in b1p]
     plane_map = ParamMap(
         [

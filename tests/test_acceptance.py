@@ -32,11 +32,10 @@ from torsal.polyring import (
     discriminant,
     format_polynomial,
 )
-from torsal.projgeom import ProjPoint, adjugate, frame_bourgain
+from torsal.projgeom import ProjPoint, adjugate, frame_bourgain, frame_rows
 from torsal.projgeom import FrameMatrix
 from torsal.ruled import (
     LineFamily,
-    _symbolic_frame,
     conic_tangency_map,
     focal_points_on_generator,
     focal_system,
@@ -173,7 +172,7 @@ def test_c08_frame_consistency():
 
     ctx = VarContext(["p", "q"])
     p, q = ctx.variables()
-    frame = _symbolic_frame(ctx)
+    frame = frame_rows(*ctx.variables())
     assert det_over_ring(frame) == 1
     inverse = adjugate(frame)
     one, zero = Polynomial.one(ctx), Polynomial.zero(ctx)

@@ -13,9 +13,9 @@ from torsal.projgeom import (
     adjugate,
     change_polynomial_coordinates,
     frame_bourgain,
+    frame_rows,
     rank,
 )
-from torsal.ruled import _symbolic_frame
 
 
 def random_fractions(rng, n):
@@ -92,7 +92,7 @@ class TestBourgainFrame:
         its rows are pinned to their expected coefficient patterns."""
         ctx = VarContext(["p", "q"])
         p, q = ctx.variables()
-        frame = _symbolic_frame(ctx)
+        frame = frame_rows(*ctx.variables())
         assert det_over_ring(frame) == 1
         inv = adjugate(frame)
         one, zero = Polynomial.one(ctx), Polynomial.zero(ctx)
