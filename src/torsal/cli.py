@@ -29,7 +29,6 @@ from torsal.errors import (
     NonHomogeneousError,
     NotContainedError,
     SingularPointError,
-    TorsalError,
     UnknownVariableError,
     VerificationError,
 )
@@ -380,44 +379,34 @@ def _emit(payload: dict, pretty: bool, stream) -> None:
 # error mapping
 
 
-_ERROR_EXITS = {
-    ExprSyntaxError: _EXIT_USAGE,
-    UnknownVariableError: _EXIT_USAGE,
-    ContextMismatchError: _EXIT_USAGE,
-    DegreeError: _EXIT_USAGE,
-    NonHomogeneousError: _EXIT_USAGE,
-    _UsageError: _EXIT_USAGE,
-    NotContainedError: _EXIT_VERIFY,
-    VerificationError: _EXIT_VERIFY,
-    BaseLocusError: _EXIT_VERIFY,
-    SingularPointError: _EXIT_VERIFY,
-}
-
-_ERROR_TYPES = {
-    ExprSyntaxError: "syntax",
-    UnknownVariableError: "unknown-variable",
-    ContextMismatchError: "context-mismatch",
-    DegreeError: "degree",
-    NonHomogeneousError: "non-homogeneous",
-    _UsageError: "usage",
-    NotContainedError: "not-contained",
-    VerificationError: "verification",
-    BaseLocusError: "base-locus",
-    SingularPointError: "singular-point",
+# the contract errors: class -> (JSON type, exit code); any other exception
+# is a defect and exits 3
+_ERRORS = {
+    ExprSyntaxError: ("syntax", _EXIT_USAGE),
+    UnknownVariableError: ("unknown-variable", _EXIT_USAGE),
+    ContextMismatchError: ("context-mismatch", _EXIT_USAGE),
+    DegreeError: ("degree", _EXIT_USAGE),
+    NonHomogeneousError: ("non-homogeneous", _EXIT_USAGE),
+    _UsageError: ("usage", _EXIT_USAGE),
+    NotContainedError: ("not-contained", _EXIT_VERIFY),
+    VerificationError: ("verification", _EXIT_VERIFY),
+    BaseLocusError: ("base-locus", _EXIT_VERIFY),
+    SingularPointError: ("singular-point", _EXIT_VERIFY),
 }
 
 
 def _error_payload(exc: Exception) -> tuple:
     for cls in type(exc).__mro__:
-        if cls in _ERROR_TYPES:
-            body = {"type": _ERROR_TYPES[cls], "message": str(exc)}
+        if cls in _ERRORS:
+            kind, code = _ERRORS[cls]
+            body = {"type": kind, "message": str(exc)}
             if isinstance(exc, ExprSyntaxError):
                 body["byte_offset"] = exc.offset
             if isinstance(exc, SingularPointError) and exc.point is not None:
                 body["point"] = [_frac_str(c) for c in exc.point]
-            return {"error": body}, _ERROR_EXITS[cls]
-    body = {"type": "error", "message": str(exc)}
-    return {"error": body}, _EXIT_VERIFY
+            return {"error": body}, code
+    message = f"internal error: {type(exc).__name__}: {exc}"
+    return {"error": {"type": "error", "message": message}}, _EXIT_INTERNAL
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +517,8 @@ def main(argv=None) -> int:
     pretty = bool(getattr(args, "pretty", False))
     try:
         payload, code = args.func(args)
-    except (TorsalError, _UsageError) as exc:
+    except Exception as exc:  # contract error or defect: JSON, never a traceback
         payload, code = _error_payload(exc)
-    except Exception as exc:  # a defect: report it, never as a traceback
-        message = f"internal error: {type(exc).__name__}: {exc}"
-        payload, code = {"error": {"type": "error", "message": message}}, _EXIT_INTERNAL
     else:
         _emit(payload, pretty, sys.stdout)
         return code

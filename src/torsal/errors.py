@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-CLI exit-code mapping: parse-side errors (ExprSyntaxError,
-UnknownVariableError, bad usage) exit 2; verification-side failures
-(VerificationError and subclasses, NotContainedError, BaseLocusError)
-exit 1.
+The CLI maps errors to a JSON error type and an exit code in one table,
+``torsal.cli._ERRORS``: parse-side, degree and usage errors exit 2,
+verification failures exit 1. A TorsalError the table does not name
+(InexactDivisionError, SingularMatrixError, MissingAssignmentError,
+PointNotOnSurfaceError) means a defect and exits 3, like any other
+unexpected exception.
 """
 
 

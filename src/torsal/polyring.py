@@ -31,8 +31,12 @@ Algebraic Number Theory", Alg. 3.3.7, without content removal): each
 pseudo-remainder is divided exactly by g*h^delta and each new h is
 g^delta divided exactly by h^(delta-1). The number of ring operations
 grows polynomially in the degrees, where cofactor expansion of the
-matrix grows factorially. det_over_ring stays cofactor expansion for the
-small, sparse matrices of frames and adjugates.
+matrix grows factorially.
+
+Linear algebra: ``eliminate`` is the one elimination, fraction-free
+Gauss-Jordan (Bareiss 1968) with exact division by the previous pivot.
+det_over_ring reads the determinant off it, and projgeom's adjugate,
+frame inverse and rank are built on it.
 
 Sign conventions, fixed here and relied on by callers:
 
@@ -57,6 +61,7 @@ from torsal._kernel import DEGREE_LIMIT, MASK, WIDTH
 from torsal.errors import (
     ContextMismatchError,
     DegreeError,
+    InexactDivisionError,
     MissingAssignmentError,
     UnknownVariableError,
 )
@@ -578,38 +583,85 @@ def signed_sum(context: VarContext, summands) -> Polynomial:
     return Polynomial._make(context, out)
 
 
-def det_over_ring(rows):
-    """Determinant by cofactor expansion along the sparsest row.
+def _exact_quotient(x, d):
+    """x / d where d is known to divide x: never a rounded or floored value."""
+    if isinstance(x, Polynomial):
+        return x.exact_div(d)
+    if isinstance(x, int) and isinstance(d, int):
+        q, r = divmod(x, d)
+        if r:
+            raise InexactDivisionError(f"{x} is not a multiple of {d}")
+        return q
+    return x / d
 
-    Entries need +, *, unary -, and truthiness (zero is falsy); works for
-    Fraction and Polynomial alike. Adequate for the <= 6x6 matrices here.
+
+def eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination, in place (Bareiss 1968).
+
+    rows is a list of equal-length lists over a commutative ring whose
+    entries support +, -, * and truthiness (zero is falsy): int, Fraction
+    or Polynomial. Each column in turn takes the first nonzero entry at or
+    below the current row as its pivot (rows swapped as needed), and every
+    other row is cleared in that column by x <- (pv*x - rv*y) / prev,
+    where pv is the pivot, rv the row's entry in the pivot column, y the
+    pivot row's entry and prev the previous pivot. By Sylvester's identity
+    every entry stays a minor of the input, so each division is exact; an
+    inexact one raises InexactDivisionError rather than rounding. Once k
+    pivots are taken, their rows hold the k-th pivot on the diagonal of
+    the pivot columns and zero in every other pivot column.
+
+    Returns (sign, pivot columns): sign is -1 after an odd number of row
+    swaps, and the number of pivot columns is the rank.
+    """
+    sign, pivots, prev = 1, [], 1
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        if piv != top:
+            rows[top], rows[piv] = rows[piv], rows[top]
+            sign = -sign
+        prow = rows[top]
+        pv = prow[col]
+        # where rv*y is zero the update is pv*x/prev, which is x if pv == prev
+        keep, unit = pv == prev, prev == 1
+        for i, row in enumerate(rows):
+            if i == top:
+                continue
+            rv = row[col]
+            for j, (x, y) in enumerate(zip(row, prow)):
+                if rv and y:
+                    x = pv * x - rv * y
+                elif x and not keep:
+                    x = pv * x
+                else:
+                    continue
+                row[j] = x if unit else _exact_quotient(x, prev)
+        prev = pv
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return sign, pivots
+
+
+def det_over_ring(rows):
+    """Determinant of a square matrix over a commutative ring.
+
+    Entries need +, -, * and truthiness (zero is falsy); works for int,
+    Fraction and Polynomial alike. One fraction-free elimination
+    (``eliminate``), so the number of ring operations grows as n^3: the
+    determinant is the last pivot times the sign of the row swaps, or the
+    ring zero when a column has no pivot.
     """
     rows = [list(r) for r in rows]
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("determinant needs a non-empty square matrix")
-    return _det(rows)
-
-
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    best = min(range(n), key=lambda i: sum(1 for x in rows[i] if x))
-    row = rows[best]
-    rest = [r for k, r in enumerate(rows) if k != best]
-    total = None
-    for j, entry in enumerate(row):
-        if not entry:
-            continue
-        minor = [[r[k] for k in range(n) if k != j] for r in rest]
-        term = entry * _det(minor)
-        if (best + j) % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return rows[0][0] * 0  # a zero row: determinant is the ring zero
-    return total
+    sign, pivots = eliminate(rows)
+    if len(pivots) < n:
+        return rows[0][0] * 0
+    return sign * rows[n - 1][n - 1]
 
 
 def _pseudo_remainder(a, b):

@@ -9,10 +9,10 @@ coordinates, and exact rank of arbitrary rational matrices.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from torsal.errors import ContextMismatchError, SingularMatrixError
-from torsal.polyring import Polynomial, det_over_ring
+from torsal.polyring import Polynomial, det_over_ring, eliminate
 
 
 def _frac(x) -> Fraction:
@@ -97,24 +97,9 @@ class FrameMatrix:
         return FrameMatrix(prod)
 
     def invert(self) -> "FrameMatrix":
-        """Exact inverse by Gauss-Jordan elimination over the rationals."""
-        a = [list(r) for r in self.rows]
-        b = [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
-        for col in range(5):
-            piv = next((r for r in range(col, 5) if a[r][col]), None)
-            if piv is None:  # unreachable: determinant checked at construction
-                raise SingularMatrixError("frame matrix has determinant 0")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv = Fraction(1) / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            b[col] = [x * inv for x in b[col]]
-            for r in range(5):
-                if r != col and a[r][col]:
-                    factor = a[r][col]
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                    b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
-        return FrameMatrix(b)
+        """Exact inverse: the adjugate divided by the determinant."""
+        det = self.det()
+        return FrameMatrix([[x / det for x in r] for r in adjugate(self.rows)])
 
     def __eq__(self, other):
         if not isinstance(other, FrameMatrix):
@@ -178,72 +163,37 @@ def change_polynomial_coordinates(f: Polynomial, m: FrameMatrix) -> Polynomial:
 def rank(matrix) -> int:
     """Exact rank of a rational matrix of any shape.
 
-    Rows are cleared to integers, then reduced by multiply-only
-    elimination (no rational division inside the loop), with a gcd
-    squeeze per row to keep entries small.
+    Rows are cleared to integers, so the fraction-free elimination runs
+    on ints and divides exactly.
     """
     rows = []
     for r in matrix:
         r = [_frac(x) for x in r]
         scale = lcm(*(x.denominator for x in r)) if r else 1
-        ints = [int(x * scale) for x in r]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        rows.append(ints)
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
+        rows.append([int(x * scale) for x in r])
+    if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-
-    rk = 0
-    top = 0
-    for col in range(ncols):
-        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        pv = rows[top][col]
-        for r in range(top + 1, len(rows)):
-            if rows[r][col]:
-                rv = rows[r][col]
-                new = [pv * a - rv * b for a, b in zip(rows[r], rows[top])]
-                g = 0
-                for x in new:
-                    g = gcd(g, abs(x))
-                if g > 1:
-                    new = [x // g for x in new]
-                rows[r] = new
-        rk += 1
-        top += 1
-        if top == len(rows):
-            break
-    return rk
+    return len(eliminate(rows)[1])
 
 
 def adjugate(rows):
-    """Adjugate (transposed cofactor matrix) over any commutative ring.
+    """Adjugate (transposed cofactor matrix) of an invertible matrix.
 
-    adj(M) . M = det(M) . I; used where a frame must be inverted with
-    polynomial entries and division is unavailable.
+    Entries may lie in any commutative ring that ``eliminate`` accepts,
+    e.g. Polynomial where division is unavailable. Fraction-free
+    Gauss-Jordan elimination turns [M | I] into [d*I | X] with
+    d = sign*det(M), so adj(M) = sign*X and adj(M) . M = det(M) . I.
+    A singular M raises SingularMatrixError.
     """
-    rows = [list(r) for r in rows]
     n = len(rows)
     if n < 2 or any(len(r) != n for r in rows):
         raise ValueError("adjugate needs a square matrix of size >= 2")
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = det_over_ring(minor)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
-    return adj
+    one, zero = rows[0][0] ** 0, rows[0][0] * 0
+    work = [
+        list(r) + [one if i == j else zero for j in range(n)]
+        for i, r in enumerate(rows)
+    ]
+    sign, pivots = eliminate(work)
+    if pivots[n - 1] != n - 1:
+        raise SingularMatrixError("adjugate of a singular matrix")
+    return [[sign * x for x in r[n:]] for r in work]

@@ -9,7 +9,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from test_expr import random_expression
-from torsal import cli
+from torsal import cli, errors
 from torsal.cli import main, schema_path
 from torsal.polyring import VarContext
 
@@ -230,6 +230,28 @@ class TestErrors:
         code, out, err = run_cli(capsys, "catalog", "--pretty")
         assert code == 3 and out == ""
         assert err == "error: internal error: RuntimeError: simulated defect\n"
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            errors.InexactDivisionError,
+            errors.SingularMatrixError,
+            errors.MissingAssignmentError,
+            errors.PointNotOnSurfaceError,
+        ],
+    )
+    def test_torsal_error_without_contract_type_is_internal(
+        self, capsys, monkeypatch, error
+    ):
+        def broken(args):
+            raise error("simulated defect")
+
+        monkeypatch.setattr(cli, "_cmd_catalog", broken)
+        payload = check(capsys, "error", ["catalog"], 3, error=True)
+        assert payload["error"] == {
+            "type": "error",
+            "message": f"internal error: {error.__name__}: simulated defect",
+        }
 
     def test_bad_param_map_arity(self, capsys):
         payload = check(

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from torsal.errors import SingularMatrixError
-from torsal.polyring import Polynomial, VarContext, det_over_ring
+from torsal import _kernel
+from torsal.errors import InexactDivisionError, SingularMatrixError
+from torsal.polyring import Polynomial, VarContext, det_over_ring, eliminate
 from torsal.projgeom import (
     FrameMatrix,
     ProjPoint,
@@ -145,7 +146,7 @@ class TestRank:
                 ]
                 for i in range(5)
             ]
-            assert rank(product) <= r
+            assert rank(product) == brute_rank(product)
 
 
 def brute_rank(matrix):
@@ -192,7 +193,7 @@ class TestAdjugate:
 
 
 def brute_det(matrix):
-    """Leibniz-formula determinant; fine for n <= 4."""
+    """Leibniz-formula determinant; fine for n <= 5."""
     import itertools
 
     n = len(matrix)
@@ -209,6 +210,116 @@ def brute_det(matrix):
             term *= matrix[i][perm[i]]
         total += sign * term
     return total
+
+
+def sparse_fractions(rng, n):
+    """An n x n rational matrix with many zeros, often singular."""
+    m = [
+        [Fraction(0) if rng.random() < 0.4 else x for x in random_fractions(rng, n)]
+        for _ in range(n)
+    ]
+    if n > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        m[i] = [c * x for x in m[j]]
+    return m
+
+
+class TestElimination:
+    def test_det_matches_leibniz(self):
+        rng = random.Random(83)
+        swaps = singular = 0
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(40):
+                m = sparse_fractions(rng, n)
+                det = det_over_ring(m)
+                assert det == brute_det(m)
+                swaps += not m[0][0]
+                singular += not det
+        assert swaps and singular
+
+    def test_polynomial_det_at_points(self):
+        # entries of degree up to 2 in (a, b): pivots are not units, so
+        # every step divides exactly by a nonconstant previous pivot
+        rng = random.Random(84)
+        ctx = VarContext(["a", "b"])
+        a, b = ctx.variables()
+        monomials = [a ** 0, a, b, a * a, a * b, b * b]
+        for n in (2, 3, 4):
+            m = [
+                [
+                    sum(
+                        (rng.randint(-3, 3) * x for x in monomials),
+                        Polynomial.zero(ctx),
+                    )
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            m[0][0] = Polynomial.zero(ctx)
+            det = det_over_ring(m)
+            for _ in range(4):
+                point = random_fractions(rng, 2)
+                at = [[e.evaluate(point) for e in row] for row in m]
+                assert det.evaluate(point) == brute_det(at)
+
+    def test_adjugate_times_matrix_over_polynomials(self):
+        ctx = VarContext(["a", "b", "c", "d"])
+        a, b, c, d = ctx.variables()
+        m = [[a, b, c], [d, a * b, 0 * a], [c + d, a ** 0, b * c - d]]
+        det, adj = det_over_ring(m), adjugate(m)
+        zero = Polynomial.zero(ctx)
+        for i in range(3):
+            for j in range(3):
+                expect = det if i == j else zero
+                assert sum((adj[i][k] * m[k][j] for k in range(3)), zero) == expect
+                assert sum((m[i][k] * adj[k][j] for k in range(3)), zero) == expect
+
+    def test_adjugate_of_singular_matrix_is_refused(self):
+        with pytest.raises(SingularMatrixError):
+            adjugate([[1, 2], [2, 4]])
+        with pytest.raises(SingularMatrixError):
+            adjugate([[Fraction(1), 0, 0], [0, 0, 0], [0, 0, Fraction(1)]])
+
+    def test_int_remainder_is_an_error(self):
+        class OffByOne(int):
+            """Products one too large: not a ring, so Bareiss stops dividing exactly."""
+
+            def __mul__(self, other):
+                return int(self) * int(other) + 1
+
+            __rmul__ = __mul__
+
+        rows = [[2, 3, 1], [5, 7, 2], [1, 4, 6]]
+        assert eliminate([list(r) for r in rows])[1] == [0, 1, 2]
+        with pytest.raises(InexactDivisionError):
+            eliminate([[OffByOne(x) for x in r] for r in rows])
+
+    def test_dense_determinant_work_grows_polynomially(self, monkeypatch):
+        # a count, not a time: the elimination makes 532 products here,
+        # cofactor expansion of a dense 8x8 on the order of 8! = 40,320;
+        # the count stops the run as soon as it passes the bound
+        calls = []
+        original = _kernel.terms_mul
+
+        def counted(*args):
+            calls.append(None)
+            assert len(calls) < 2000, "determinant work is not polynomial"
+            return original(*args)
+
+        monkeypatch.setattr(_kernel, "terms_mul", counted)
+        rng = random.Random(85)
+        ctx = VarContext(["x", "y"])
+        x, y = ctx.variables()
+        m = [
+            [
+                rng.randint(1, 9) * x + rng.randint(-9, 9) * y + rng.randint(-9, 9)
+                for _ in range(8)
+            ]
+            for _ in range(8)
+        ]
+        assert det_over_ring(m)
+        assert calls
 
 
 class TestCoordinateChange:
