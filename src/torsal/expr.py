@@ -9,16 +9,33 @@ Grammar (whitespace-insensitive, no implicit multiplication, no division):
 
 '^' takes a bare natural-number literal and binds *looser* than unary
 minus: "-z1^2" is (-z1)^2, which is why the canonical formatter writes
-such leading terms as "-1*z1^2". Syntax errors carry the byte offset of
-the offending input. Parentheses and unary minus nest at most
-MAX_NESTING deep, so hostile input gets a syntax error instead of
+such leading terms as "-1*z1^2". Parentheses and unary minus nest at
+most MAX_NESTING deep, so hostile input gets a syntax error instead of
 exhausting the interpreter's stack. Sums and products are flat n-ary
 nodes, so one of any length is built, compared, hashed, printed and
 evaluated without recursion.
+
+Scanning: one compiled regular expression walks the text once and yields
+a (kind, text, char index) tuple per token, kind being 'nat', 'ident',
+'op' or 'bad' (any character outside the grammar); whitespace (space,
+tab, CR, LF) matches no alternative and is skipped. The descent indexes
+that list directly, so a parse costs time per token, not per character.
+
+Errors: ExprSyntaxError carries the byte offset of the offending input,
+counted in raw input bytes and computed only when an error is raised,
+from the text before the offending token. A character outside the
+grammar is reported as unexpected, before any grammar error, wherever
+the two lie; that includes a multi-byte character and a byte of argv
+that is not UTF-8, which Python passes on as a lone surrogate. The
+prefix is encoded with "surrogateescape", which counts such a byte as
+the one byte it was. A str input never raises anything but
+ExprSyntaxError.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -69,48 +86,18 @@ Node = Union[Num, Var, Neg, Pow, Sum, Product]
 
 # -- tokenizer ------------------------------------------------------------
 
-_OPS = "+-*^()"
-_DIGITS = "0123456789"
-_ALPHA = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+# one alternative per token kind; whitespace matches none of them, so the
+# scan skips it, and any other character is a 'bad' token of its own
+_TOKEN = re.compile(
+    r"(?P<nat>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*^()])|(?P<bad>[^ \t\r\n])"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'nat' | 'ident' | one of _OPS | 'end'
-    text: str
-    offset: int  # byte offset into the original input
-
-
-def _tokenize(text: str) -> list[_Token]:
-    # byte offset of each character position, so errors point into the
-    # raw input even when it contains multi-byte junk
-    offsets = [0]
-    for ch in text:
-        offsets.append(offsets[-1] + len(ch.encode("utf-8")))
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(_Token("nat", text[i:j], offsets[i]))
-            i = j
-        elif ch in _ALPHA:
-            j = i
-            while j < n and text[j] in _ALPHA + _DIGITS:
-                j += 1
-            toks.append(_Token("ident", text[i:j], offsets[i]))
-            i = j
-        elif ch in _OPS:
-            toks.append(_Token(ch, ch, offsets[i]))
-            i += 1
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", offsets[i])
-    toks.append(_Token("end", "", offsets[n]))
+def _tokenize(text: str) -> list:
+    """(kind, text, char index) per token, closed by ('end', '', len(text))."""
+    toks = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
+    toks.append(("end", "", len(text)))
     return toks
 
 
@@ -118,93 +105,127 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
+    """Recursive descent over the token list; `pos` indexes the next token.
+
+    Operators are matched on their text. A 'bad' token matches nothing, so
+    a parse that succeeds has none, and `error` reports the first one in
+    place of whatever the descent tripped over: an unexpected character
+    is reported before any grammar error, wherever the two lie.
+    """
+
+    __slots__ = ("text", "toks", "pos", "depth")
+
+    def __init__(self, text):
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0  # open '(' and unary '-' around the current position
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def error(self, message: str, tok) -> ExprSyntaxError:
+        bad = next((t for t in self.toks if t[0] == "bad"), None)
+        if bad is not None:
+            message, tok = f"unexpected character {bad[1]!r}", bad
+        # every character before the first bad token is ASCII, so the byte
+        # count equals the char index; encoding keeps the unit in bytes,
+        # one per undecodable argv byte
+        prefix = self.text[: tok[2]].encode("utf-8", "surrogateescape")
+        return ExprSyntaxError(message, len(prefix))
 
-    def take(self) -> _Token:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+    def found(self, tok) -> str:
+        return "end of input" if tok[0] == "end" else repr(tok[1])
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            what = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ExprSyntaxError(f"expected {kind!r}, found {what}", tok.offset)
-        return self.take()
+    def too_long(self, tok) -> ExprSyntaxError:
+        # int() refuses literals past this limit, as a guard against its
+        # quadratic conversion time
+        limit = sys.get_int_max_str_digits()
+        return self.error(f"number literal longer than {limit} digits", tok)
 
     def expr(self) -> Node:
+        toks = self.toks
         terms = [(1, self.term())]
-        while self.peek().kind in "+-":
-            sign = 1 if self.take().kind == "+" else -1
+        while True:
+            op = toks[self.pos][1]
+            if op == "+":
+                sign = 1
+            elif op == "-":
+                sign = -1
+            else:
+                break
+            self.pos += 1
             terms.append((sign, self.term()))
         return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self) -> Node:
+        toks = self.toks
         factors = [self.factor()]
-        while self.peek().kind == "*":
-            self.take()
+        while toks[self.pos][1] == "*":
+            self.pos += 1
             factors.append(self.factor())
         return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def factor(self) -> Node:
         node = self.base()
-        if self.peek().kind == "^":
-            self.take()
-            tok = self.peek()
-            if tok.kind != "nat":
-                what = "end of input" if tok.kind == "end" else repr(tok.text)
-                raise ExprSyntaxError(
-                    f"expected a natural-number exponent after '^', found {what}",
-                    tok.offset,
-                )
-            self.take()
-            node = Pow(node, int(tok.text))
-        return node
+        pos = self.pos
+        if self.toks[pos][1] != "^":
+            return node
+        tok = self.toks[pos + 1]
+        if tok[0] != "nat":
+            raise self.error(
+                "expected a natural-number exponent after '^', "
+                f"found {self.found(tok)}",
+                tok,
+            )
+        self.pos = pos + 2
+        try:
+            return Pow(node, int(tok[1]))
+        except ValueError:
+            raise self.too_long(tok) from None
 
-    def nest(self, tok: _Token) -> None:
+    def nest(self, tok) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ExprSyntaxError(
-                f"parentheses and unary minus nest deeper than {MAX_NESTING}",
-                tok.offset,
+            raise self.error(
+                f"parentheses and unary minus nest deeper than {MAX_NESTING}", tok
             )
 
     def base(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "nat":
-            self.take()
-            return Num(int(tok.text))
-        if tok.kind == "ident":
-            self.take()
-            return Var(tok.text)
-        if tok.kind == "(":
-            self.nest(self.take())
+        tok = self.toks[self.pos]
+        kind, text = tok[0], tok[1]
+        if kind == "nat":
+            self.pos += 1
+            try:
+                return Num(int(text))
+            except ValueError:
+                raise self.too_long(tok) from None
+        if kind == "ident":
+            self.pos += 1
+            return Var(text)
+        if text == "(":
+            self.nest(tok)
+            self.pos += 1
             node = self.expr()
-            self.expect(")")
+            tok = self.toks[self.pos]
+            if tok[1] != ")":
+                raise self.error(f"expected ')', found {self.found(tok)}", tok)
+            self.pos += 1
             self.depth -= 1
             return node
-        if tok.kind == "-":
-            self.nest(self.take())
+        if text == "-":
+            self.nest(tok)
+            self.pos += 1
             node = Neg(self.base())
             self.depth -= 1
             return node
-        what = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ExprSyntaxError(f"expected a value, found {what}", tok.offset)
+        raise self.error(f"expected a value, found {self.found(tok)}", tok)
 
 
 def parse(text: str) -> Node:
     """Parse expression text to an AST; ExprSyntaxError on bad input."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     node = p.expr()
-    tok = p.peek()
-    if tok.kind != "end":
-        raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.offset)
+    tok = p.toks[p.pos]
+    if tok[0] != "end":
+        raise p.error(f"trailing input {tok[1]!r}", tok)
     return node
 
 
@@ -232,7 +253,11 @@ def to_polynomial(node: Node, context: VarContext) -> Polynomial:
             else:
                 f = to_polynomial(factor, context)
                 product = f if product is None else product * f
-        term = Polynomial(context, {tuple(exps): coefficient})
+        # coefficient is an int, so (coefficient, 1) is already a kernel
+        # pair; a zero term is never packed, so it cannot hit the degree guard
+        term = Polynomial._make(
+            context, {context._pack(exps): (coefficient, 1)} if coefficient else {}
+        )
         return term if product is None else term * product
     if isinstance(node, Num):
         return Polynomial.constant(context, node.value)

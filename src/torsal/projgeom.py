@@ -69,7 +69,9 @@ class FrameMatrix:
         if len(rows) != 5 or any(len(r) != 5 for r in rows):
             raise ValueError("a FrameMatrix is 5x5")
         self.rows = rows
-        if not det_over_ring(rows):
+        # rank 5 exactly when the determinant is nonzero; rank clears the
+        # denominators and eliminates ints, cheaper than det over Fraction
+        if rank(rows) != 5:
             raise SingularMatrixError("frame matrix has determinant 0")
 
     @classmethod

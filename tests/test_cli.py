@@ -328,6 +328,34 @@ class TestGrammarRoundTripViaCli:
             assert json.loads(out)["canonical"] == canonical
 
 
+@pytest.mark.parametrize(
+    "argv,offset",
+    [
+        ([b"parse-check", b"--expr", b"x+\xff", b"--vars", b"x"], 2),
+        ([b"envelope", b"--family", b"p^2*z1 + \xff"], 9),
+        (
+            [
+                b"verify-parametrization", b"--surface", b"bourgain",
+                b"--param-map", b"1,u,v,p*v,p*u\xfe\xff", b"--params", b"p,u,v",
+            ],
+            3,  # the offset counts from the start of the fifth component
+        ),
+    ],
+)
+def test_undecodable_argv_byte_is_a_syntax_error(argv, offset):
+    # Python hands the byte over as a lone surrogate; it is one raw byte
+    # of input, counted as such, and never an internal error
+    proc = subprocess.run(
+        [sys.executable.encode(), b"-m", b"torsal", *argv], capture_output=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    payload = json.loads(proc.stderr)
+    validator = Draft202012Validator(load_schema("error"))
+    assert not list(validator.iter_errors(payload))
+    assert payload["error"]["type"] == "syntax"
+    assert payload["error"]["byte_offset"] == offset
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "torsal", "catalog"],

@@ -1,6 +1,8 @@
 """Expression grammar: parsing, round-trips, and byte-offset errors."""
 
 import random
+import re
+import sys
 
 import pytest
 
@@ -8,7 +10,9 @@ from conftest import make_random_polynomial
 from torsal.errors import ExprSyntaxError, UnknownVariableError
 from torsal.expr import (
     MAX_NESTING,
+    Neg,
     Num,
+    Pow,
     Product,
     Sum,
     Var,
@@ -98,6 +102,18 @@ class TestErrors:
             ("x$", 1),
             ("x/y", 1),
             ("z*α", 2),
+            # every token character is ASCII, so a multi-byte character is
+            # itself the first error; the later '$' is not reported
+            ("x + é $", 4),
+            ("x\u00a0+ 1", 1),  # no-break space is not whitespace here
+            ("\U0001f600 + x", 0),
+            # an undecodable argv byte, as Python passes it, and a lone
+            # surrogate that no byte could have produced
+            ("x+\udcff", 2),
+            ("1*\ud800", 2),
+            # the end of input lies after the trailing whitespace
+            ("x + \t\n ", 7),
+            ("(x  ", 4),
         ],
     )
     def test_byte_offsets(self, text, offset):
@@ -105,6 +121,54 @@ class TestErrors:
             parse(text)
         assert exc_info.value.offset == offset
         assert f"byte offset {offset}" in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x$", "unexpected character '$' (byte offset 1)"),
+            ("x + \udcff", "unexpected character '\\udcff' (byte offset 4)"),
+            ("(x", "expected ')', found end of input (byte offset 2)"),
+            ("(x y", "expected ')', found 'y' (byte offset 3)"),
+            (
+                "x^y",
+                "expected a natural-number exponent after '^', "
+                "found 'y' (byte offset 2)",
+            ),
+            (
+                "x^",
+                "expected a natural-number exponent after '^', "
+                "found end of input (byte offset 2)",
+            ),
+            ("", "expected a value, found end of input (byte offset 0)"),
+            ("x*)", "expected a value, found ')' (byte offset 2)"),
+            ("x y", "trailing input 'y' (byte offset 2)"),
+            ("(x))", "trailing input ')' (byte offset 3)"),
+            (
+                "(" * 101 + "x",
+                "parentheses and unary minus nest deeper than 100 (byte offset 100)",
+            ),
+            # an unexpected character wins over an earlier grammar error
+            ("x + * $", "unexpected character '$' (byte offset 6)"),
+        ],
+    )
+    def test_messages(self, text, message):
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            parse(text)
+        assert str(exc_info.value) == message
+
+    def test_number_literal_past_the_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for text, offset in (("9" * 641, 0), ("x^" + "9" * 641, 2)):
+                with pytest.raises(ExprSyntaxError) as exc_info:
+                    parse(text)
+                assert str(exc_info.value) == (
+                    f"number literal longer than 640 digits (byte offset {offset})"
+                )
+            assert parse("9" * 640) == Num(int("9" * 640))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_implicit_multiplication_is_rejected(self):
         with pytest.raises(ExprSyntaxError):
@@ -237,3 +301,169 @@ class TestRoundTrip:
         x, y = ctx.variables()
         for f in (-x ** 2, -x * y + y, -3 * x ** 2 + x, -x - 1):
             assert parse_polynomial(format_polynomial(f), ctx) == f
+
+
+# -- differential check against a character-loop reference ----------------
+
+
+class _ReferenceError(Exception):
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.message, self.index = message, index
+
+
+def reference_parse(text):
+    """The grammar read one character at a time, as a plain reference.
+
+    Returns the AST, or raises _ReferenceError with the message parse()
+    should give and the character index of the offending input.
+    """
+    toks, i = [], 0
+    while i < len(text):
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        j = i + 1
+        if ch.isascii() and ch.isdigit():
+            while j < len(text) and text[j].isascii() and text[j].isdigit():
+                j += 1
+            toks.append(("nat", text[i:j], i))
+        elif ch.isascii() and (ch.isalpha() or ch == "_"):
+            while j < len(text) and text[j].isascii() and (
+                text[j].isalnum() or text[j] == "_"
+            ):
+                j += 1
+            toks.append(("ident", text[i:j], i))
+        elif ch in "+-*^()":
+            toks.append((ch, ch, i))
+        else:
+            raise _ReferenceError(f"unexpected character {ch!r}", i)
+        i = j
+    toks.append(("end", "", len(text)))
+    pos, depth = 0, 0
+
+    def found(tok):
+        return "end of input" if tok[0] == "end" else repr(tok[1])
+
+    def expr():
+        nonlocal pos
+        terms = [(1, term())]
+        while toks[pos][0] in ("+", "-"):
+            sign = 1 if toks[pos][0] == "+" else -1
+            pos += 1
+            terms.append((sign, term()))
+        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
+
+    def term():
+        nonlocal pos
+        factors = [factor()]
+        while toks[pos][0] == "*":
+            pos += 1
+            factors.append(factor())
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+
+    def factor():
+        nonlocal pos
+        node = base()
+        if toks[pos][0] == "^":
+            tok = toks[pos + 1]
+            if tok[0] != "nat":
+                raise _ReferenceError(
+                    "expected a natural-number exponent after '^', "
+                    f"found {found(tok)}",
+                    tok[2],
+                )
+            pos += 2
+            node = Pow(node, int(tok[1]))
+        return node
+
+    def base():
+        nonlocal pos, depth
+        tok = toks[pos]
+        if tok[0] == "nat":
+            pos += 1
+            return Num(int(tok[1]))
+        if tok[0] == "ident":
+            pos += 1
+            return Var(tok[1])
+        if tok[0] in ("(", "-"):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise _ReferenceError(
+                    f"parentheses and unary minus nest deeper than {MAX_NESTING}",
+                    tok[2],
+                )
+            pos += 1
+            if tok[0] == "-":
+                node = Neg(base())
+            else:
+                node = expr()
+                if toks[pos][0] != ")":
+                    raise _ReferenceError(
+                        f"expected ')', found {found(toks[pos])}", toks[pos][2]
+                    )
+                pos += 1
+            depth -= 1
+            return node
+        raise _ReferenceError(f"expected a value, found {found(tok)}", tok[2])
+
+    node = expr()
+    if toks[pos][0] != "end":
+        raise _ReferenceError(f"trailing input {toks[pos][1]!r}", toks[pos][2])
+    return node
+
+
+# characters to splice into grammar-built strings: token characters,
+# every whitespace the grammar skips, ASCII junk, multi-byte characters,
+# Unicode digits, letters and spaces the grammar refuses, an undecodable
+# argv byte and a lone surrogate
+_SPLICE = list("xyz019_ \t\r\n+-*^()$/.") + [
+    "é", "α", "٣", "ｘ", " ", "\x0b", "\U0001f600", "\udcff", "\ud800",
+]
+
+
+_EXPONENT = re.compile(r"\^[ \t\r\n]*([0-9]+)")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+class TestDifferential:
+    def test_seeded_strings_match_the_reference(self):
+        rng = random.Random(606060)
+        rejected = round_trips = 0
+        for _ in range(3000):
+            text = random_expression(
+                rng, ["x", "y", "z", "lam"], depth=rng.randint(0, 3)
+            )
+            for _ in range(rng.randint(0, 3)):
+                i, roll = rng.randint(0, len(text)), rng.random()
+                if roll < 0.5:
+                    text = text[:i] + rng.choice(_SPLICE) + text[i:]
+                elif roll < 0.8:
+                    text = text[:i] + text[i + 1:]
+                else:  # runs of one character reach the nesting limit
+                    text = text[:i] + rng.choice(_SPLICE) * rng.randint(2, 120) + text[i:]
+            try:
+                want = reference_parse(text)
+            except _ReferenceError as ref:
+                with pytest.raises(ExprSyntaxError) as exc_info:
+                    parse(text)
+                offset = len(text[: ref.index].encode("utf-8", "surrogateescape"))
+                assert exc_info.value.offset == offset, repr(text)
+                assert str(exc_info.value) == f"{ref.message} (byte offset {offset})"
+                rejected += 1
+                continue
+            assert parse(text) == want, repr(text)
+            # a spliced digit can make an exponent of 40 or more, whose
+            # expansion, not its parsing, would dominate the test
+            if max(map(int, _EXPONENT.findall(text)), default=0) >= 10:
+                continue
+            names = sorted(set(_IDENT.findall(text))) or ["x"]
+            ctx = VarContext(names)
+            f = to_polynomial(want, ctx)
+            canonical = format_polynomial(f)
+            g = parse_polynomial(canonical, ctx)
+            assert g == f and format_polynomial(g) == canonical, repr(text)
+            round_trips += 1
+        # both sides of the grammar are exercised
+        assert rejected > 1000 and round_trips > 1000

@@ -58,6 +58,33 @@ class TestFrameMatrix:
         with pytest.raises(SingularMatrixError):
             FrameMatrix(rows)
 
+    def test_scaled_duplicate_rational_row_is_rejected(self):
+        # the invertibility check clears each row's denominators before it
+        # eliminates; a row that is another scaled by 3/7 must still show
+        rows = [
+            [Fraction(1, 2), Fraction(2, 3), 0, Fraction(-5, 4), 1],
+            [0, 1, Fraction(3, 5), 0, Fraction(1, 6)],
+            [Fraction(3, 14), Fraction(2, 7), 0, Fraction(-15, 28), Fraction(3, 7)],
+            [0, 0, 1, Fraction(7, 9), 0],
+            [Fraction(1, 3), 0, 0, 0, Fraction(2, 11)],
+        ]
+        with pytest.raises(SingularMatrixError, match="frame matrix has determinant 0"):
+            FrameMatrix(rows)
+        rows[2][4] += Fraction(1, 1000)
+        assert FrameMatrix(rows).det() == brute_det(rows)
+
+    def test_det_matches_leibniz_on_rational_frames(self):
+        rng = random.Random(78)
+        built = 0
+        while built < 30:
+            rows = [random_fractions(rng, 5) for _ in range(5)]
+            if not brute_det(rows):
+                with pytest.raises(SingularMatrixError):
+                    FrameMatrix(rows)
+                continue
+            built += 1
+            assert FrameMatrix(rows).det() == brute_det(rows)
+
     def test_seeded_inverses(self):
         rng = random.Random(77)
         built = 0
