@@ -8,6 +8,7 @@ from torsal.errors import (
     BaseLocusError,
     ContextMismatchError,
     DegreeError,
+    DigitLimitError,
     ExprSyntaxError,
     InexactDivisionError,
     MissingAssignmentError,
@@ -33,6 +34,7 @@ __all__ = [
     "UnknownVariableError",
     "MissingAssignmentError",
     "DegreeError",
+    "DigitLimitError",
     "InexactDivisionError",
     "SingularMatrixError",
     "NonHomogeneousError",

@@ -7,8 +7,7 @@ a valid homogeneous hypersurface through one accessor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from torsal._record import Record
 from torsal.hypersurface import Hypersurface
 from torsal.polyring import Polynomial, VarContext
 
@@ -16,8 +15,8 @@ PROJECTIVE_NAMES = ("z0", "z1", "z2", "z3", "z4")
 RATIONAL_NAMES = ("x1", "x2", "x4", "u", "v")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
+    __slots__ = ("name", "polynomial", "homogeneous", "description")
     name: str
     polynomial: Polynomial
     homogeneous: bool

@@ -18,13 +18,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from torsal import catalog, equivalence, ruled
 from torsal.errors import (
     BaseLocusError,
     ContextMismatchError,
     DegreeError,
+    DigitLimitError,
     ExprSyntaxError,
     NonHomogeneousError,
     NotContainedError,
@@ -55,6 +55,8 @@ class _UsageError(Exception):
 
 def schema_path(name: str):
     """Filesystem path of a shipped output schema, e.g. ``"gauss-rank"``."""
+    from importlib import resources  # only schema lookups need it
+
     return resources.files("torsal") / "schemas" / f"{name}.schema.json"
 
 
@@ -386,6 +388,7 @@ _ERRORS = {
     UnknownVariableError: ("unknown-variable", _EXIT_USAGE),
     ContextMismatchError: ("context-mismatch", _EXIT_USAGE),
     DegreeError: ("degree", _EXIT_USAGE),
+    DigitLimitError: ("digit-limit", _EXIT_USAGE),
     NonHomogeneousError: ("non-homogeneous", _EXIT_USAGE),
     _UsageError: ("usage", _EXIT_USAGE),
     NotContainedError: ("not-contained", _EXIT_VERIFY),

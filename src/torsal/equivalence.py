@@ -10,10 +10,10 @@ reports serialize deterministically, so reruns are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from torsal import catalog
+from torsal._record import Record
 from torsal.catalog import PROJECTIVE_NAMES, RATIONAL_NAMES
 from torsal.errors import ContextMismatchError, DegreeError, VerificationError
 from torsal.polyring import (
@@ -99,16 +99,21 @@ def weierstrass_substitute(ts: TrigSurface) -> Polynomial:
 # -- replayable step records ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceStep:
+class EquivalenceStep(Record):
     """One certified transformation: `certificate` names the identity
     that links input to output, `data` carries what replaying needs."""
 
-    name: str
-    input: Polynomial
-    output: Polynomial
-    certificate: str
-    data: object = None
+    __slots__ = ("name", "input", "output", "certificate", "data")
+
+    def __init__(
+        self,
+        name: str,
+        input: Polynomial,
+        output: Polynomial,
+        certificate: str,
+        data: object = None,
+    ):
+        super().__init__(name, input, output, certificate, data)
 
 
 def replay_step(step: EquivalenceStep) -> bool:
@@ -132,10 +137,12 @@ def replay_step(step: EquivalenceStep) -> bool:
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     """A chain of certified steps plus the headline substitution/scalar."""
 
+    __slots__ = (
+        "steps", "final_substitution", "final_scalar", "z3_sign_flipped", "notes"
+    )
     steps: tuple
     final_substitution: tuple  # ordered (variable, Polynomial) pairs
     final_scalar: Fraction
@@ -330,8 +337,8 @@ def sacksteder_to_bourgain() -> EquivalenceReport:
 # -- chart bookkeeping -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodicityNote:
+class PeriodicityNote(Record):
+    __slots__ = ("chart_bound", "excluded_locus", "covering", "detail")
     chart_bound: str
     excluded_locus: str
     covering: str

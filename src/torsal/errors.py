@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps errors to a JSON error type and an exit code in one table,
-``torsal.cli._ERRORS``: parse-side, degree and usage errors exit 2,
+``torsal.cli._ERRORS``: parse-side, degree, digit-limit and usage errors exit 2,
 verification failures exit 1. A TorsalError the table does not name
 (InexactDivisionError, SingularMatrixError, MissingAssignmentError,
 PointNotOnSurfaceError) means a defect and exits 3, like any other
@@ -84,6 +84,11 @@ class BaseLocusError(TorsalError):
             f"all rank samples for seed {seed} gave a zero image vector; "
             "retry with a different seed"
         )
+
+
+class DigitLimitError(TorsalError):
+    """A coefficient is too long to print: past the interpreter's limit on
+    int-to-str conversion, ``sys.get_int_max_str_digits()``."""
 
 
 class ExprSyntaxError(TorsalError):

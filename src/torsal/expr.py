@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from typing import Union
 
+from torsal._record import Record
 from torsal.errors import ExprSyntaxError
 from torsal.polyring import Polynomial, VarContext, signed_sum
 
@@ -46,43 +45,58 @@ MAX_NESTING = 100
 
 # -- AST ----------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Num:
-    value: int
+# the parser builds one node per token or operator, so each node class
+# assigns its fields in its own __init__; Record supplies ==, hash and repr
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Num(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
+class Neg(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Node):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class Sum:
+class Pow(Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Node, exponent: int):
+        self.base = base
+        self.exponent = exponent
+
+
+class Sum(Record):
     """Signed summands in order: a - b + c is Sum(((1, a), (-1, b), (1, c)))."""
 
-    terms: tuple
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        self.terms = terms
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
     """Factors in order: a*b*c is Product((a, b, c))."""
 
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        self.factors = factors
 
 
-Node = Union[Num, Var, Neg, Pow, Sum, Product]
+Node = Num | Var | Neg | Pow | Sum | Product
 
 # -- tokenizer ------------------------------------------------------------
 

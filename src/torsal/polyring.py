@@ -52,15 +52,17 @@ Sign conventions, fixed here and relied on by callers:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from functools import total_ordering
 
 from torsal import _kernel as K
+from torsal._record import Record
 from torsal._kernel import DEGREE_LIMIT, MASK, WIDTH
 from torsal.errors import (
     ContextMismatchError,
     DegreeError,
+    DigitLimitError,
     InexactDivisionError,
     MissingAssignmentError,
     UnknownVariableError,
@@ -151,16 +153,16 @@ def _grlex_key(exps):
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """Exponent vector of one term; ordered graded-lexicographically."""
 
-    exponents: tuple
+    __slots__ = ("exponents",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        if any((not isinstance(e, int)) or e < 0 for e in self.exponents):
-            raise ValueError(f"exponents must be non-negative ints: {self.exponents}")
+    def __init__(self, exponents):
+        exponents = tuple(exponents)
+        if any((not isinstance(e, int)) or e < 0 for e in exponents):
+            raise ValueError(f"exponents must be non-negative ints: {exponents}")
+        self.exponents = exponents
 
     @property
     def total_degree(self) -> int:
@@ -796,6 +798,10 @@ def format_polynomial(f: Polynomial) -> str:
     '/'). A leading negative unit coefficient is written explicitly as
     "-1*" when the first variable factor carries an exponent, because the
     grammar binds unary minus tighter than '^'.
+
+    A numerator or denominator longer than ``sys.get_int_max_str_digits()``
+    digits raises DigitLimitError: the interpreter will not convert it, and
+    the parser rejects a literal past the same limit.
     """
     if f.is_zero():
         return "0"
@@ -809,7 +815,14 @@ def format_polynomial(f: Polynomial) -> str:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        mag = f"{abs(num)}/{den}" if den != 1 else str(abs(num))
+        try:
+            mag = f"{abs(num)}/{den}" if den != 1 else str(abs(num))
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise DigitLimitError(
+                f"coefficient longer than {limit} digits, the interpreter's "
+                "limit for printing an integer"
+            ) from None
         if not factors:
             body = mag
         elif mag == "1":

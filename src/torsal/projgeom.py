@@ -99,9 +99,10 @@ class FrameMatrix:
         return FrameMatrix(prod)
 
     def invert(self) -> "FrameMatrix":
-        """Exact inverse: the adjugate divided by the determinant."""
-        det = self.det()
-        return FrameMatrix([[x / det for x in r] for r in adjugate(self.rows)])
+        """Exact inverse: the adjugate divided by the determinant, both
+        from one elimination (see ``_eliminate_beside_identity``)."""
+        _, d, x = _eliminate_beside_identity(self.rows)
+        return FrameMatrix([[v / d for v in r] for r in x])
 
     def __eq__(self, other):
         if not isinstance(other, FrameMatrix):
@@ -182,14 +183,25 @@ def adjugate(rows):
     """Adjugate (transposed cofactor matrix) of an invertible matrix.
 
     Entries may lie in any commutative ring that ``eliminate`` accepts,
-    e.g. Polynomial where division is unavailable. Fraction-free
-    Gauss-Jordan elimination turns [M | I] into [d*I | X] with
-    d = sign*det(M), so adj(M) = sign*X and adj(M) . M = det(M) . I.
-    A singular M raises SingularMatrixError.
+    e.g. Polynomial where division is unavailable: adj(M) = sign*X from
+    the fraction-free elimination of [M | I] (``_eliminate_beside_identity``),
+    and adj(M) . M = det(M) . I. A singular M raises SingularMatrixError.
     """
     n = len(rows)
     if n < 2 or any(len(r) != n for r in rows):
         raise ValueError("adjugate needs a square matrix of size >= 2")
+    sign, _, x = _eliminate_beside_identity(rows)
+    return [[sign * v for v in r] for r in x]
+
+
+def _eliminate_beside_identity(rows) -> tuple:
+    """(sign, d, X) from eliminating [M | I] for a square M.
+
+    The elimination leaves [d*I | X], where d = sign*det(M) is the last
+    pivot, so adj(M) = sign*X and, over a field, M^-1 = X / d. A
+    singular M raises SingularMatrixError.
+    """
+    n = len(rows)
     one, zero = rows[0][0] ** 0, rows[0][0] * 0
     work = [
         list(r) + [one if i == j else zero for j in range(n)]
@@ -198,4 +210,4 @@ def adjugate(rows):
     sign, pivots = eliminate(work)
     if pivots[n - 1] != n - 1:
         raise SingularMatrixError("adjugate of a singular matrix")
-    return [[sign * x for x in r[n:]] for r in work]
+    return sign, work[n - 1][n - 1], [r[n:] for r in work]

@@ -14,12 +14,11 @@ every sample lands in a measure-zero set.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from torsal import catalog
+from torsal._record import Record
 from torsal.errors import (
     BaseLocusError,
     DegreeError,
@@ -107,16 +106,16 @@ class FocalSystem:
         self.determinant = determinant
 
 
-@dataclass(frozen=True)
-class FocalPoint:
+class FocalPoint(Record):
+    __slots__ = ("lam", "multiplicity", "point", "at_infinity")
     lam: Fraction
     multiplicity: int
     point: ProjPoint
     at_infinity: bool
 
 
-@dataclass(frozen=True)
-class FocalReport:
+class FocalReport(Record):
+    __slots__ = ("p", "q", "roots", "residual", "chart_note")
     p: Fraction
     q: Fraction
     roots: tuple
@@ -124,8 +123,8 @@ class FocalReport:
     chart_note: str
 
 
-@dataclass(frozen=True)
-class PencilReport:
+class PencilReport(Record):
+    __slots__ = ("checks", "conic", "verdict")
     checks: tuple
     conic: Polynomial
     verdict: str
@@ -169,6 +168,8 @@ def generic_rank(gi, seed: int = DEFAULT_SEED) -> int:
     Samples with a zero image vector (base locus) are skipped; if every
     sample lands there, BaseLocusError advises retrying with a new seed.
     """
+    import random  # only gauss-rank samples; other CLI calls need not load it
+
     comps = gi.components
     params = gi.params
     jac = jacobian(gi)

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, schema-valid JSON, deterministic output."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -253,6 +254,23 @@ class TestErrors:
             "message": f"internal error: {error.__name__}: simulated defect",
         }
 
+    @pytest.mark.parametrize("expr", ["10^5000", "x^2+10^4400*x"])
+    def test_coefficient_past_the_digit_limit(self, capsys, expr):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            payload = check(
+                capsys, "error", ["parse-check", "--expr", expr, "--vars", "x"], 2,
+                error=True,
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert payload["error"] == {
+            "type": "digit-limit",
+            "message": "coefficient longer than 4300 digits, the interpreter's "
+            "limit for printing an integer",
+        }
+
     def test_bad_param_map_arity(self, capsys):
         payload = check(
             capsys, "error",
@@ -354,6 +372,20 @@ def test_undecodable_argv_byte_is_a_syntax_error(argv, offset):
     assert not list(validator.iter_errors(payload))
     assert payload["error"]["type"] == "syntax"
     assert payload["error"]["byte_offset"] == offset
+
+
+def test_coefficient_past_the_digit_limit_in_a_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsal", "parse-check", "--expr", "10^5000",
+         "--vars", "x"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert not list(Draft202012Validator(load_schema("error")).iter_errors(payload))
+    assert payload["error"]["type"] == "digit-limit"
+    assert "4300 digits" in payload["error"]["message"]
 
 
 def test_console_entry_point_runs():

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import make_random_polynomial
-from torsal.errors import ExprSyntaxError, UnknownVariableError
+from torsal.errors import DigitLimitError, ExprSyntaxError, UnknownVariableError
 from torsal.expr import (
     MAX_NESTING,
     Neg,
@@ -167,6 +167,24 @@ class TestErrors:
                     f"number literal longer than 640 digits (byte offset {offset})"
                 )
             assert parse("9" * 640) == Num(int("9" * 640))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_printed_coefficients_stop_at_the_int_digit_limit(self):
+        # the printer and the parser share the interpreter's limit, so
+        # whatever prints parses back
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            x = XY.variable("x")
+            f = 10 ** 4299 * x - 1  # a coefficient of exactly 4300 digits
+            text = format_polynomial(f)
+            assert text == "1" + "0" * 4299 + "*x - 1"
+            assert parse_polynomial(text, XY) == f
+            assert format_polynomial(x / 10 ** 4299).startswith("1/1000")
+            for g in (10 ** 4300 * x, x / 10 ** 4300):
+                with pytest.raises(DigitLimitError, match="longer than 4300 digits"):
+                    format_polynomial(g)
         finally:
             sys.set_int_max_str_digits(limit)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from torsal import _kernel
+from torsal import _kernel, polyring, projgeom
 from torsal.errors import InexactDivisionError, SingularMatrixError
 from torsal.polyring import Polynomial, VarContext, det_over_ring, eliminate
 from torsal.projgeom import (
@@ -97,6 +97,62 @@ class TestFrameMatrix:
             built += 1
             assert (m @ m.invert()).rows == FrameMatrix.identity().rows
             assert (m.invert() @ m).rows == FrameMatrix.identity().rows
+
+
+    def test_dense_inverses_match_gauss_jordan(self):
+        rng = random.Random(80)
+        built = 0
+        while built < 10:
+            rows = [
+                [Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 60))
+                 for _ in range(5)]
+                for _ in range(5)
+            ]
+            inverse = brute_inverse(rows)
+            if inverse is None:
+                continue
+            built += 1
+            m = FrameMatrix(rows)
+            assert m.invert().rows == inverse
+            assert m @ m.invert() == FrameMatrix.identity()
+
+    def test_invert_eliminates_twice(self, monkeypatch):
+        # the [M | I] pass, then the result's invertibility check; the
+        # determinant is read off the pass, not eliminated again
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return eliminate(rows)
+
+        monkeypatch.setattr(polyring, "eliminate", counting)
+        monkeypatch.setattr(projgeom, "eliminate", counting)
+        rng = random.Random(81)
+        m = FrameMatrix([random_fractions(rng, 5) for _ in range(5)])
+        calls.clear()
+        m.invert()
+        assert calls == [5, 5]
+
+
+def brute_inverse(rows):
+    """Fraction Gauss-Jordan on [M | I]; None for a singular M."""
+    n = len(rows)
+    m = [
+        [Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+        for i, r in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [e * inv for e in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
+    return tuple(tuple(r[n:]) for r in m)
 
 
 class TestBourgainFrame:
