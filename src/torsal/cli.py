@@ -1,10 +1,17 @@
 """Command-line interface.
 
+Each subcommand is declared once, as an entry of ``_COMMANDS`` (its help
+and flags) and a function ``_cmd_<name>`` (dashes as underscores) that
+``main`` looks up when it dispatches. Every subcommand also takes
+``--json`` (the default) or ``--pretty``.
+
 JSON on stdout is the machine format: field order is fixed per
-subcommand, rationals are rendered as ``num/den`` strings, and each
-subcommand's output validates against the matching schema shipped in
-``torsal/schemas/``.  ``--pretty`` switches to an aligned human
-rendering.  Errors go to stderr (JSON unless ``--pretty``).
+subcommand, rationals are rendered as ``num/den`` strings by
+``polyring.format_rational`` (the same renderer as polynomial
+coefficients), and each subcommand's output validates against the
+matching schema shipped in ``torsal/schemas/``.  ``--pretty`` switches
+to an aligned human rendering.  Errors go to stderr (JSON unless
+``--pretty``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 internal error (an exception torsal has no contract error for; it is
@@ -40,8 +47,7 @@ from torsal.hypersurface import (
     pullback,
     singular_locus_generators,
 )
-from torsal.polyring import Polynomial, VarContext, format_polynomial
-from torsal.projgeom import ProjPoint
+from torsal.polyring import Polynomial, VarContext, format_polynomial, format_rational
 
 _EXIT_OK = 0
 _EXIT_VERIFY = 1
@@ -64,27 +70,18 @@ def schema_path(name: str):
 # argument helpers
 
 
-def _split_names(raw: str, what: str) -> list:
+def _parse_var_context(raw: str, flag: str) -> VarContext:
     names = [part.strip() for part in raw.split(",")]
     if any(not part for part in names):
-        raise _UsageError(f"empty name in {what}: {raw!r}")
-    return names
-
-
-def _parse_var_context(raw: str) -> VarContext:
+        raise _UsageError(f"empty name in {flag}: {raw!r}")
     try:
-        return VarContext(_split_names(raw, "--vars"))
+        return VarContext(names)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
 def _parse_param_map(raw_map: str, raw_params: str) -> ParamMap:
-    if raw_map is None or raw_params is None:
-        raise _UsageError("--param-map and --params are both required")
-    try:
-        context = VarContext(_split_names(raw_params, "--params"))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    context = _parse_var_context(raw_params, "--params")
     pieces = raw_map.split(",")
     if len(pieces) != 5:
         raise _UsageError(
@@ -118,31 +115,16 @@ def _check_seed(seed: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON rendering helpers
-
-
-def _frac_str(value) -> str:
-    return str(Fraction(value))
-
-
-def _point_json(point: ProjPoint) -> list:
-    return [_frac_str(c) for c in point.coords]
-
-
-def _poly_str(f: Polynomial) -> str:
-    return format_polynomial(f)
-
-
-# ---------------------------------------------------------------------------
-# subcommand implementations (each returns (payload, exit_code))
+# subcommand implementations: _cmd_<name> for each name in _COMMANDS, taking
+# the parsed arguments and returning (payload, exit_code)
 
 
 def _cmd_parse_check(args) -> tuple:
-    context = _parse_var_context(args.vars)
+    context = _parse_var_context(args.vars, "--vars")
     f = parse_polynomial(args.expr, context)
     payload = {
         "ok": True,
-        "canonical": _poly_str(f),
+        "canonical": format_polynomial(f),
         "variables": list(context.names),
         "degree": f.total_degree(),
         "homogeneous": f.is_homogeneous(),
@@ -184,8 +166,8 @@ def _cmd_singular_locus(args) -> tuple:
     )
     payload = {
         "surface": args.surface,
-        "polynomial": _poly_str(h.f),
-        "generators": [_poly_str(g) for g in generators],
+        "polynomial": format_polynomial(h.f),
+        "generators": [format_polynomial(g) for g in generators],
         "plane_certificate": {
             "equations": [f"{names[0]} = 0", f"{names[4]} = 0"],
             "parametrization": "(0, a, b, c, 0)",
@@ -198,8 +180,8 @@ def _cmd_singular_locus(args) -> tuple:
     else:
         coords, values = witness
         payload["smooth_point_witness"] = {
-            "point": [_frac_str(x) for x in coords],
-            "gradient": [_frac_str(v) for v in values],
+            "point": [format_rational(x) for x in coords],
+            "gradient": [format_rational(*v.as_integer_ratio()) for v in values],
             "nonzero": True,
         }
     return payload, _EXIT_OK
@@ -213,9 +195,9 @@ def _cmd_verify_parametrization(args) -> tuple:
     payload = {
         "surface": args.surface,
         "params": list(pm.context.names),
-        "map": [_poly_str(c) for c in pm.components],
+        "map": [format_polynomial(c) for c in pm.components],
         "contained": contained,
-        "residual": _poly_str(residual),
+        "residual": format_polynomial(residual),
     }
     return payload, _EXIT_OK if contained else _EXIT_VERIFY
 
@@ -232,13 +214,13 @@ def _cmd_gauss_rank(args) -> tuple:
         "rank": rank,
         "seed": seed,
         "samples": ruled.SAMPLE_COUNT,
-        "image": [_poly_str(c) for c in gi.components],
+        "image": [format_polynomial(c) for c in gi.components],
     }
     return payload, _EXIT_OK
 
 
 def _cmd_envelope(args) -> tuple:
-    context = _parse_var_context(args.vars)
+    context = _parse_var_context(args.vars, "--vars")
     f = parse_polynomial(args.family, context)
     try:
         family = ruled.LineFamily(f, args.param)
@@ -247,10 +229,10 @@ def _cmd_envelope(args) -> tuple:
     env = ruled.envelope(family)
     method = "discriminant" if f.degree_in(args.param) == 2 else "resultant"
     payload = {
-        "family": _poly_str(f),
+        "family": format_polynomial(f),
         "param": args.param,
         "plane_vars": list(family.plane_vars),
-        "envelope": _poly_str(env),
+        "envelope": format_polynomial(env),
         "method": method,
     }
     return payload, _EXIT_OK
@@ -260,24 +242,26 @@ def _cmd_focal(args) -> tuple:
     h = _catalog_surface(args.surface)
     p = _parse_fraction(args.p, "--p")
     q = _parse_fraction(args.q, "--q")
-    system = ruled.focal_system()
-    report = ruled.focal_points_on_generator(h, p, q, system)
+    report = ruled.focal_points_on_generator(h, p, q)
+    system, residual = report.system, report.residual
     payload = {
         "surface": args.surface,
-        "p": _frac_str(p),
-        "q": _frac_str(q),
-        "matrix": [[_poly_str(e) for e in row] for row in system.matrix],
-        "determinant": _poly_str(system.determinant),
+        "p": format_rational(*p.as_integer_ratio()),
+        "q": format_rational(*q.as_integer_ratio()),
+        "matrix": [[format_polynomial(e) for e in row] for row in system.matrix],
+        "determinant": format_polynomial(system.determinant),
         "roots": [
             {
-                "lam": _frac_str(pt.lam),
+                "lam": format_rational(*pt.lam.as_integer_ratio()),
                 "multiplicity": pt.multiplicity,
-                "point": _point_json(pt.point),
+                "point": [
+                    format_rational(*c.as_integer_ratio()) for c in pt.point.coords
+                ],
                 "at_infinity": pt.at_infinity,
             }
             for pt in report.roots
         ],
-        "residual": None if report.residual is None else _poly_str(report.residual),
+        "residual": None if residual is None else format_polynomial(residual),
         "chart_note": report.chart_note,
     }
     return payload, _EXIT_OK
@@ -291,19 +275,19 @@ def _cmd_pencil_report(args) -> tuple:
         "checks": [
             {"name": name, "passed": passed} for name, passed in report.checks
         ],
-        "conic": _poly_str(report.conic),
+        "conic": format_polynomial(report.conic),
         "verdict": report.verdict,
     }
     return payload, _EXIT_OK
 
 
 def _cmd_equivalence_check(args) -> tuple:
+    # both chain builders replay their certificates and raise
+    # VerificationError when one fails
     if args.chain == "affine":
         report = equivalence.bourgain_affine_chain()
     else:
         report = equivalence.sacksteder_to_bourgain()
-    if not report.replay():
-        raise VerificationError("equivalence chain failed to replay")
     payload = {"chain": args.chain}
     payload.update(report.to_jsonable())
     if args.chain == "sacksteder":
@@ -325,7 +309,7 @@ def _cmd_catalog(args) -> tuple:
             {
                 "name": entry.name,
                 "variables": list(entry.polynomial.context.names),
-                "polynomial": _poly_str(entry.polynomial),
+                "polynomial": format_polynomial(entry.polynomial),
                 "homogeneous": entry.homogeneous,
                 "degree": entry.polynomial.total_degree(),
                 "description": entry.description,
@@ -349,23 +333,17 @@ def _pretty_lines(payload: dict, indent: str = "") -> list:
             for item in value:
                 lines.extend(_pretty_lines(item, indent + "  "))
                 lines.append("")
-            if lines[-1] == "":
-                lines.pop()
-        elif isinstance(value, list):
-            joined = ", ".join(_pretty_scalar(v) for v in value)
-            lines.append(f"{indent}{key}: [{joined}]")
+            lines.pop()
         else:
-            lines.append(f"{indent}{key}: {_pretty_scalar(value)}")
+            lines.append(f"{indent}{key}: {_pretty_value(value)}")
     return lines
 
 
-def _pretty_scalar(value) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
+def _pretty_value(value) -> str:
+    if isinstance(value, list):
+        return "[" + ", ".join(_pretty_value(v) for v in value) + "]"
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
     return str(value)
 
 
@@ -406,24 +384,70 @@ def _error_payload(exc: Exception) -> tuple:
             if isinstance(exc, ExprSyntaxError):
                 body["byte_offset"] = exc.offset
             if isinstance(exc, SingularPointError) and exc.point is not None:
-                body["point"] = [_frac_str(c) for c in exc.point]
+                body["point"] = [
+                    format_rational(*c.as_integer_ratio()) for c in exc.point
+                ]
             return {"error": body}, code
     message = f"internal error: {type(exc).__name__}: {exc}"
     return {"error": {"type": "error", "message": message}}, _EXIT_INTERNAL
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# parser wiring: the command table maps each name to (help, flags), a flag
+# being a (name, add_argument keywords) pair; every subcommand also takes
+# --json or --pretty, and runs as _cmd_<name>
 
 
-def _add_output_flags(sub) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument(
-        "--json", action="store_true", help="JSON output (the default)"
-    )
-    group.add_argument(
-        "--pretty", action="store_true", help="aligned human-readable output"
-    )
+_SURFACE = ("--surface", dict(required=True, help="catalog surface name"))
+_PARAM_MAP = (
+    ("--param-map", dict(required=True, help="5 comma-separated expressions")),
+    ("--params", dict(required=True, help="comma-separated parameters")),
+)
+_VARS_HELP = "comma-separated variable names"
+
+_COMMANDS = {
+    "parse-check": (
+        "parse an expression and echo it",
+        (
+            ("--expr", dict(required=True, help="polynomial expression")),
+            ("--vars", dict(required=True, help=_VARS_HELP)),
+        ),
+    ),
+    "singular-locus": ("gradient generators and plane certificate", (_SURFACE,)),
+    "verify-parametrization": (
+        "check a map lands on a surface",
+        (_SURFACE, *_PARAM_MAP),
+    ),
+    "gauss-rank": (
+        "generic rank of the tangent-hyperplane map",
+        (_SURFACE, *_PARAM_MAP, ("--seed", dict(type=int, default=ruled.DEFAULT_SEED))),
+    ),
+    "envelope": (
+        "envelope of a line or plane family",
+        (
+            ("--family", dict(required=True, help="family polynomial")),
+            ("--vars", dict(default="p,z1,z2,z3", help=_VARS_HELP)),
+            ("--param", dict(default="p", help="family parameter name")),
+        ),
+    ),
+    "focal": (
+        "focal matrix and focal points on one generator",
+        (
+            _SURFACE,
+            ("--p", dict(default="1", help="rational value of p (default 1)")),
+            ("--q", dict(default="1", help="rational value of q (default 1)")),
+        ),
+    ),
+    "pencil-report": ("certify the pencil-of-lines structure", (_SURFACE,)),
+    "equivalence-check": (
+        "replay a certified equivalence chain",
+        (
+            ("--chain", dict(choices=("sacksteder", "affine"), default="sacksteder",
+                             help="which chain to run (default: sacksteder)")),
+        ),
+    ),
+    "catalog": ("list the built-in surfaces", ()),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -432,82 +456,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact construction and verification of ruled hypersurfaces",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("parse-check", help="parse an expression and echo it")
-    sub.add_argument("--expr", required=True, help="polynomial expression")
-    sub.add_argument("--vars", required=True, help="comma-separated variable names")
-    _add_output_flags(sub)
-    sub.set_defaults(func=_cmd_parse_check)
-
-    sub = subs.add_parser(
-        "singular-locus", help="gradient generators and plane certificate"
-    )
-    sub.add_argument("--surface", required=True, help="catalog surface name")
-    _add_output_flags(sub)
-    sub.set_defaults(func=_cmd_singular_locus)
-
-    sub = subs.add_parser(
-        "verify-parametrization", help="check a map lands on a surface"
-    )
-    sub.add_argument("--surface", required=True)
-    sub.add_argument(
-        "--param-map", required=True, help="5 comma-separated expressions"
-    )
-    sub.add_argument("--params", required=True, help="comma-separated parameters")
-    _add_output_flags(sub)
-    sub.set_defaults(func=_cmd_verify_parametrization)
-
-    sub = subs.add_parser(
-        "gauss-rank", help="generic rank of the tangent-hyperplane map"
-    )
-    sub.add_argument("--surface", required=True)
-    sub.add_argument("--param-map", required=True)
-    sub.add_argument("--params", required=True)
-    sub.add_argument("--seed", type=int, default=ruled.DEFAULT_SEED)
-    _add_output_flags(sub)
-    sub.set_defaults(func=_cmd_gauss_rank)
-
-    sub = subs.add_parser("envelope", help="envelope of a line or plane family")
-    sub.add_argument("--family", required=True, help="family polynomial")
-    sub.add_argument(
-        "--vars", default="p,z1,z2,z3", help="comma-separated variable names"
-    )
-    sub.add_argument("--param", default="p", help="family parameter name")
-    _add_output_flags(sub)
-    sub.set_defaults(func=_cmd_envelope)
-
-    sub = subs.add_parser(
-        "focal", help="focal matrix and focal points on one generator"
-    )
-    sub.add_argument("--surface", required=True)
-    sub.add_argument("--p", default="1", help="rational value of p (default 1)")
-    sub.add_argument("--q", default="1", help="rational value of q (default 1)")
-    _add_output_flags(sub)
-    sub.set_defaults(func=_cmd_focal)
-
-    sub = subs.add_parser(
-        "pencil-report", help="certify the pencil-of-lines structure"
-    )
-    sub.add_argument("--surface", required=True)
-    _add_output_flags(sub)
-    sub.set_defaults(func=_cmd_pencil_report)
-
-    sub = subs.add_parser(
-        "equivalence-check", help="replay a certified equivalence chain"
-    )
-    sub.add_argument(
-        "--chain",
-        choices=("sacksteder", "affine"),
-        default="sacksteder",
-        help="which chain to run (default: sacksteder)",
-    )
-    _add_output_flags(sub)
-    sub.set_defaults(func=_cmd_equivalence_check)
-
-    sub = subs.add_parser("catalog", help="list the built-in surfaces")
-    _add_output_flags(sub)
-    sub.set_defaults(func=_cmd_catalog)
-
+    for name, (help_text, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for flag, options in flags:
+            sub.add_argument(flag, **options)
+        output = sub.add_mutually_exclusive_group()
+        output.add_argument(
+            "--json", action="store_true", help="JSON output (the default)"
+        )
+        output.add_argument(
+            "--pretty", action="store_true", help="aligned human-readable output"
+        )
     return parser
 
 
@@ -517,15 +476,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return _EXIT_USAGE if exc.code not in (0, None) else int(exc.code or 0)
-    pretty = bool(getattr(args, "pretty", False))
+    # looked up per call, so a replaced _cmd_<name> takes effect
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        payload, code = args.func(args)
+        payload, code = command(args)
     except Exception as exc:  # contract error or defect: JSON, never a traceback
         payload, code = _error_payload(exc)
     else:
-        _emit(payload, pretty, sys.stdout)
+        _emit(payload, args.pretty, sys.stdout)
         return code
-    if pretty:
+    if args.pretty:
         sys.stderr.write(f"error: {payload['error']['message']}\n")
     else:
         _emit(payload, False, sys.stderr)

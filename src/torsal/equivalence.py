@@ -21,6 +21,7 @@ from torsal.polyring import (
     VarContext,
     equal_up_to_scalar,
     format_polynomial,
+    format_rational,
 )
 
 TRIG_NAMES = ("x1", "x2", "x4", "c", "s")
@@ -169,7 +170,7 @@ class EquivalenceReport(Record):
             "substitution": {
                 var: format_polynomial(img) for var, img in self.final_substitution
             },
-            "scalar": str(self.final_scalar),
+            "scalar": format_rational(*self.final_scalar.as_integer_ratio()),
         }
         if self.z3_sign_flipped is not None:
             out["z3_sign_flipped"] = self.z3_sign_flipped
@@ -184,7 +185,7 @@ def _data_jsonable(data):
     if data is None:
         return None
     if isinstance(data, Fraction):
-        return str(data)
+        return format_rational(*data.as_integer_ratio())
     if isinstance(data, tuple) and len(data) == 3 and isinstance(data[1], int):
         var, degree, names = data
         return {"variable": var, "degree": degree, "names": list(names)}

@@ -87,8 +87,9 @@ class BaseLocusError(TorsalError):
 
 
 class DigitLimitError(TorsalError):
-    """A coefficient is too long to print: past the interpreter's limit on
-    int-to-str conversion, ``sys.get_int_max_str_digits()``."""
+    """A rational (a coefficient, a point's coordinate, a scalar) is too
+    long to print: past the interpreter's limit on int-to-str conversion,
+    ``sys.get_int_max_str_digits()``."""
 
 
 class ExprSyntaxError(TorsalError):

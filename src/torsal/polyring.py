@@ -790,6 +790,25 @@ def primitive_part(f: Polynomial) -> Polynomial:
 # -- canonical text rendering ------------------------------------------
 
 
+def format_rational(num: int, den: int = 1) -> str:
+    """The rational num/den as "n", or "n/d" when den is not 1.
+
+    Takes the integers of a reduced fraction with den > 0, so a caller
+    holding coefficient pairs builds no Fraction. A numerator or
+    denominator longer than ``sys.get_int_max_str_digits()`` digits
+    raises DigitLimitError: the interpreter will not convert it, and the
+    parser rejects a literal past the same limit.
+    """
+    try:
+        return f"{num}/{den}" if den != 1 else str(num)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DigitLimitError(
+            f"coefficient longer than {limit} digits, the interpreter's "
+            "limit for printing an integer"
+        ) from None
+
+
 def format_polynomial(f: Polynomial) -> str:
     """Canonical text form, descending graded-lex, reparseable by the CLI grammar.
 
@@ -799,9 +818,8 @@ def format_polynomial(f: Polynomial) -> str:
     "-1*" when the first variable factor carries an exponent, because the
     grammar binds unary minus tighter than '^'.
 
-    A numerator or denominator longer than ``sys.get_int_max_str_digits()``
-    digits raises DigitLimitError: the interpreter will not convert it, and
-    the parser rejects a literal past the same limit.
+    A coefficient past the interpreter's digit limit raises DigitLimitError
+    (see format_rational).
     """
     if f.is_zero():
         return "0"
@@ -815,14 +833,7 @@ def format_polynomial(f: Polynomial) -> str:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        try:
-            mag = f"{abs(num)}/{den}" if den != 1 else str(abs(num))
-        except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise DigitLimitError(
-                f"coefficient longer than {limit} digits, the interpreter's "
-                "limit for printing an integer"
-            ) from None
+        mag = format_rational(abs(num), den)
         if not factors:
             body = mag
         elif mag == "1":

@@ -15,7 +15,7 @@ every sample lands in a measure-zero set.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 
 from torsal import catalog
 from torsal._record import Record
@@ -92,18 +92,13 @@ class FocalSystem:
 
     __slots__ = ("matrix", "determinant")
 
-    def __init__(self, matrix, determinant: Polynomial):
+    def __init__(self, matrix):
         matrix = tuple(tuple(r) for r in matrix)
         if len(matrix) != 2 or any(len(r) != 2 for r in matrix):
             raise ValueError("focal system matrix is 2x2")
         self.matrix = matrix
-        m = matrix
-        recomputed = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if recomputed != determinant:
-            raise VerificationError(
-                "stored focal determinant does not match the matrix"
-            )
-        self.determinant = determinant
+        (a, b), (c, d) = matrix
+        self.determinant = a * d - b * c
 
 
 class FocalPoint(Record):
@@ -115,9 +110,10 @@ class FocalPoint(Record):
 
 
 class FocalReport(Record):
-    __slots__ = ("p", "q", "roots", "residual", "chart_note")
+    __slots__ = ("p", "q", "system", "roots", "residual", "chart_note")
     p: Fraction
     q: Fraction
+    system: FocalSystem
     roots: tuple
     residual: Polynomial | None
     chart_note: str
@@ -382,8 +378,14 @@ def focal_system() -> FocalSystem:
                 raise VerificationError("focal entries unexpectedly involve p")
             out_row.append(entry.dehomogenize("p"))
         out.append(out_row)
-    det2 = out[0][0] * out[1][1] - out[0][1] * out[1][0]
-    return FocalSystem(out, det2)
+    return FocalSystem(out)
+
+
+def _divisors(n: int) -> list:
+    """The positive divisors of the nonzero integer n."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def rational_roots(f: Polynomial, var: str):
@@ -391,102 +393,53 @@ def rational_roots(f: Polynomial, var: str):
 
     Returns (roots, residual): roots as (Fraction, multiplicity) pairs
     sorted ascending, and the residual factor (None when the polynomial
-    splits completely over the rationals, up to a constant).
+    splits completely over the rationals, up to a constant). The residual
+    is primitive, with the sign of f's leading coefficient.
+
+    Once f is primitive, a root d/e in lowest terms has d dividing the
+    constant term and e the leading coefficient (the rational root
+    theorem); each root found is divided out as e*x - d while it divides.
     """
-    if len(f.context) != 1 or f.context.names[0] != var:
-        f = f.substitute(
-            {var: VarContext([var]).variable(var)},
-            target_context=VarContext([var]),
-        )
+    ctx = VarContext([var])
+    x = ctx.variable(var)
+    if f.context != ctx:
+        f = f.substitute({var: x}, target_context=ctx)
     if f.is_zero():
         raise ValueError("the zero polynomial has every rational as a root")
-    coeffs = [f.coefficient((k,)) for k in range(f.total_degree() + 1)]
+    f = primitive_part(f)
     roots = []
-
-    # root at 0: multiplicity = number of leading zero coefficients
-    mult0 = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        mult0 += 1
-    if mult0:
-        roots.append((Fraction(0), mult0))
-
-    def integerize(cs):
-        from math import lcm
-
-        scale = lcm(*(c.denominator for c in cs))
-        ints = [int(c * scale) for c in cs]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        return [x // (g or 1) for x in ints]
-
-    def divisors(n):
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
-
-    while len(coeffs) > 1:
-        ints = integerize(coeffs)
-        found = None
-        for den in divisors(ints[-1]):
-            for num in divisors(ints[0]):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    val = Fraction(0)
-                    for c in reversed(ints):
-                        val = val * cand + c
-                    if val == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        mult = 0
-        # exact synthetic division by (x - found), repeated while it divides
-        while True:
-            out = []
-            acc = Fraction(0)
-            for c in reversed(coeffs):
-                acc = acc * found + c
-                out.append(acc)
-            rem = out.pop()
-            if rem != 0:
-                break
-            coeffs = list(reversed(out))
-            mult += 1
-            if len(coeffs) == 1:
-                break
-        roots.append((found, mult))
-
-    roots.sort(key=lambda rm: rm[0])
-    residual = None
-    if len(coeffs) > 1:
-        ctx1 = VarContext([var])
-        residual = Polynomial(
-            ctx1, {(k,): c for k, c in enumerate(coeffs)}
+    low = f.sorted_terms()[-1][0].total_degree  # the power of x dividing f
+    if low:
+        roots.append((Fraction(0), low))
+        f = f.exact_div(x ** low)
+    while f.total_degree() > 0:
+        const = f.coefficient((0,)).numerator
+        lead = f.leading_coefficient().numerator
+        candidates = (
+            Fraction(sign * d, e)
+            for e in _divisors(lead)
+            for d in _divisors(const)
+            for sign in (1, -1)
         )
-        residual = primitive_part(residual)
-    return roots, residual
+        root = next((r for r in candidates if not f.evaluate([r])), None)
+        if root is None:
+            break
+        factor = root.denominator * x - root.numerator
+        mult = 0
+        while f.total_degree() > 0 and not f.evaluate([root]):
+            f = f.exact_div(factor)
+            mult += 1
+        roots.append((root, mult))
+    roots.sort()
+    return roots, f if f.total_degree() > 0 else None
 
 
-def focal_points_on_generator(
-    h: Hypersurface, p, q, system: FocalSystem | None = None
-) -> FocalReport:
+def focal_points_on_generator(h: Hypersurface, p, q) -> FocalReport:
     """Roots of the focal determinant on the (p, q) generator, with the
     corresponding points and their at-infinity status.
 
-    Verifies first that the generator actually lies on h. `system` is
-    the result of focal_system() when the caller already has it; it does
-    not depend on h, p or q."""
+    Verifies first that the generator actually lies on h. The report
+    carries the focal system whose determinant was solved."""
     p, q = Fraction(p), Fraction(q)
     rows = frame_bourgain(p, q).rows
     lam_ctx = VarContext(["lam"])
@@ -497,8 +450,8 @@ def focal_points_on_generator(
             f"the generator at (p, q) = ({p}, {q}) does not lie on the "
             "hypersurface"
         )
-    fs = focal_system() if system is None else system
-    det_q = fs.determinant.substitute(
+    system = focal_system()
+    det_q = system.determinant.substitute(
         {"q": q, "lam": lam}, target_context=lam_ctx
     )
     roots, residual = rational_roots(det_q, "lam")
@@ -508,7 +461,7 @@ def focal_points_on_generator(
         pt = ProjPoint(coords)
         at_inf = coords[0] == 0 and coords[4] == 0
         out.append(FocalPoint(lam0, mult, pt, at_inf))
-    return FocalReport(p, q, tuple(out), residual, CHART_NOTE)
+    return FocalReport(p, q, system, tuple(out), residual, CHART_NOTE)
 
 
 # -- pencil decomposition certificate --------------------------------------

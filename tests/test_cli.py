@@ -10,7 +10,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from test_expr import random_expression
-from torsal import cli, errors
+from torsal import cli, equivalence, errors
 from torsal.cli import main, schema_path
 from torsal.polyring import VarContext
 
@@ -271,6 +271,34 @@ class TestErrors:
             "limit for printing an integer",
         }
 
+    def test_focal_point_past_the_digit_limit(self, capsys):
+        # p of 3,000 digits prints, but the focal point's coordinates
+        # (p^2 among them) do not
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            payload = check(
+                capsys, "error",
+                ["focal", "--surface", "bourgain", "--p", "7" * 3000], 2,
+                error=True,
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert payload["error"]["type"] == "digit-limit"
+        assert "4300 digits" in payload["error"]["message"]
+
+    def test_equivalence_chain_that_fails_replay_exits_one(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(equivalence, "replay_step", lambda step: False)
+        for chain in ("sacksteder", "affine"):
+            payload = check(
+                capsys, "error", ["equivalence-check", "--chain", chain], 1,
+                error=True,
+            )
+            assert payload["error"]["type"] == "verification"
+            assert "replay" in payload["error"]["message"]
+
     def test_bad_param_map_arity(self, capsys):
         payload = check(
             capsys, "error",
@@ -318,6 +346,14 @@ class TestPretty:
                                  "--pretty")
         assert code == 2 and not out
         assert err.startswith("error:")
+
+    def test_pretty_nested_list_has_no_python_quotes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "focal", "--surface", "bourgain", "--pretty"
+        )
+        assert code == 0
+        assert "matrix: [[2*q, lam], [lam, 0]]\n" in out
+        assert "'" not in out
 
     def test_json_and_pretty_conflict(self, capsys):
         assert main(["catalog", "--json", "--pretty"]) == 2

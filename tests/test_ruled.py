@@ -13,13 +13,14 @@ from torsal.errors import (
     VerificationError,
 )
 from torsal.hypersurface import ParamMap, tangent_hyperplane
-from torsal.polyring import Polynomial, VarContext, equal_up_to_scalar
+from torsal.polyring import Polynomial, VarContext, content, equal_up_to_scalar
 from torsal.projgeom import ProjPoint
 from torsal.ruled import (
     CHART_NOTE,
     DEFAULT_SEED,
     PENCIL_VERDICT,
     SAMPLE_COUNT,
+    FocalSystem,
     LineFamily,
     conic_tangency_map,
     conic_tangency_point,
@@ -225,6 +226,16 @@ class TestFocal:
             assert root.at_infinity
             assert root.point == ProjPoint([0, 1, -2 * p, -(p ** 2), 0])
 
+    def test_report_carries_the_solved_system(self, bourgain):
+        report = focal_points_on_generator(bourgain, Fraction(2, 3), 1)
+        system = report.system
+        assert isinstance(system, FocalSystem)
+        assert system.matrix == focal_system().matrix
+        ((a, b), (c, d)) = system.matrix
+        assert system.determinant == a * d - b * c
+        lam = system.determinant.context.variable("lam")
+        assert system.determinant == -(lam ** 2)
+
     def test_focal_rejects_surface_without_that_generator(self):
         quadric = catalog.hypersurface("quadric-control")
         with pytest.raises(NotContainedError):
@@ -255,6 +266,42 @@ class TestRationalRoots:
         assert roots == []
         same, _ = equal_up_to_scalar(residual, x ** 2 + 1)
         assert same
+
+    def test_seeded_products_of_known_roots(self):
+        rng = random.Random(4242)
+        ctx = VarContext(["x"])
+        x = ctx.variable("x")
+        for _ in range(25):
+            want = {}
+            for _ in range(rng.randint(0, 4)):
+                root = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+                want[root] = want.get(root, 0) + rng.randint(1, 3)
+            # no rational roots: a sum of even powers with positive coefficients
+            residual = rng.choice(
+                [None, x ** 2 + rng.randint(1, 9), 3 * x ** 4 + 2 * x ** 2 + 5]
+            )
+            scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30),
+                             rng.randint(1, 7))
+            f = Polynomial.constant(ctx, scale)
+            for root, mult in want.items():
+                f = f * (x - root) ** mult
+            if residual is not None:
+                f = f * residual
+            roots, rest = rational_roots(f, "x")
+            assert roots == sorted(want.items())
+            if residual is None:
+                assert rest is None
+                continue
+            same, _ = equal_up_to_scalar(rest, residual)
+            assert same
+            assert content(rest) == 1
+            assert (rest.leading_coefficient() > 0) == (f.leading_coefficient() > 0)
+
+    def test_roots_of_a_polynomial_in_a_larger_context(self):
+        _, lam = VarContext(["q", "lam"]).variables()
+        roots, residual = rational_roots(-3 * lam ** 3 + 6 * lam ** 2, "lam")
+        assert roots == [(Fraction(0), 2), (Fraction(2), 1)]
+        assert residual is None
 
 
 class TestPencilReport:
