@@ -147,22 +147,46 @@ def terms_mul(a, b):
 def terms_pow(a, n):
     """a**n for a non-negative int n.
 
-    A single term is raised directly. Otherwise the power is built by
-    repeated multiplication by the base, which for sparse and dense
-    multivariate operands does less work than repeated squaring
-    (Fateman, "On the computation of powers of sparse polynomials", 1974).
+    A single term is raised directly. Otherwise a splits into its leading
+    term t and the rest r, and a**n = sum over k of C(n, k) t**k r**(n-k)
+    (binomial expansion; Fateman, "On the computation of powers of sparse
+    polynomials", 1974, weighs it against repeated multiplication and
+    squaring). Each summand is a power of r shifted by one key and scaled
+    by one rational. The powers of r come from repeated multiplication by
+    r, which has one term fewer than a; k runs downward, so only one power
+    of r and the sum are alive at a time. The cost is sum |r^j| * |r| term
+    products plus one pass over each r^j, where repeated multiplication by
+    a costs sum |a^j| * |a|: for (x+y+z)^44, 1,978 products instead of
+    45,537.
     """
     if n < 0:
         raise ValueError("negative exponent")
     if n == 0:
         return {0: (1, 1)}
+    if n == 1 or not a:
+        return a
+    lead = max(a)
+    tn, td = a[lead]
     if len(a) == 1:
-        (key, (num, den)), = a.items()
-        return {key * n: (num ** n, den ** n)}
-    result = a
-    for _ in range(n - 1):
-        result = terms_mul(result, a)
-    return result
+        return {lead * n: (tn ** n, td ** n)}
+    r = {key: pair for key, pair in a.items() if key != lead}
+    # t**n in lowest terms, then C(n, k) t**k for k = n-1 .. 0
+    tk, dk = tn ** n, td ** n
+    out = {lead * n: (tk, dk)}
+    binom, rpow = 1, r
+    for k in range(n - 1, -1, -1):
+        binom = binom * (k + 1) // (n - k)
+        tk //= tn
+        dk //= td
+        cn, cd = rat_norm(binom * tk, dk)
+        shift = lead * k
+        add_into(out, {
+            key + shift: (cn * pn, 1) if cd == pd == 1 else rat_mul(cn, cd, pn, pd)
+            for key, (pn, pd) in rpow.items()
+        })
+        if k:
+            rpow = terms_mul(rpow, r)
+    return out
 
 
 def terms_exact_div(a, b):

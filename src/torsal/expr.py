@@ -15,27 +15,29 @@ exhausting the interpreter's stack. Sums and products are flat n-ary
 nodes, so one of any length is built, compared, hashed, printed and
 evaluated without recursion.
 
-Scanning: one compiled regular expression walks the text once and yields
-a (kind, text, char index) tuple per token, kind being 'nat', 'ident',
-'op' or 'bad' (any character outside the grammar); whitespace (space,
-tab, CR, LF) matches no alternative and is skipped. The descent indexes
-that list directly, so a parse costs time per token, not per character.
+Scanning: one findall of a compiled regular expression yields the token
+strings, closed by an "" sentinel for the end of input: a number, an
+identifier, an operator, or any one character outside the grammar;
+whitespace (space, tab, CR, LF) matches no alternative and is skipped.
+A token's kind is read from its first character. The descent indexes
+that list directly, so a parse costs time per token, not per character,
+and carries no positions.
 
 Errors: ExprSyntaxError carries the byte offset of the offending input,
-counted in raw input bytes and computed only when an error is raised,
-from the text before the offending token. A character outside the
-grammar is reported as unexpected, before any grammar error, wherever
-the two lie; that includes a multi-byte character and a byte of argv
-that is not UTF-8, which Python passes on as a lone surrogate. The
-prefix is encoded with "surrogateescape", which counts such a byte as
-the one byte it was. A str input never raises anything but
-ExprSyntaxError.
+computed only when an error is raised, by scanning again for the
+position of the offending token. A character outside the grammar is
+reported as unexpected, before any grammar error, wherever the two lie;
+that includes a multi-byte character and a byte of argv that is not
+UTF-8, which Python passes on as a lone surrogate. Everything before the
+first such character is ASCII, so its char index is its byte offset. A
+str input never raises anything but ExprSyntaxError.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from itertools import islice
 
 from torsal._record import Record
 from torsal.errors import ExprSyntaxError
@@ -100,65 +102,70 @@ Node = Num | Var | Neg | Pow | Sum | Product
 
 # -- tokenizer ------------------------------------------------------------
 
-# one alternative per token kind; whitespace matches none of them, so the
-# scan skips it, and any other character is a 'bad' token of its own
-_TOKEN = re.compile(
-    r"(?P<nat>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^()])|(?P<bad>[^ \t\r\n])"
-)
+# one alternative per token; whitespace matches none of them, so the scan
+# skips it, and any other character is a token of its own that no rule
+# of the grammar accepts
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]|[^ \t\r\n]")
 
-
-def _tokenize(text: str) -> list:
-    """(kind, text, char index) per token, closed by ('end', '', len(text))."""
-    toks = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
-    toks.append(("end", "", len(text)))
-    return toks
+# a token's kind is read from its first character; the sets are ASCII
+# only, as the pattern is (str.isdigit and str.isalpha accept "²" and "é")
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_GRAMMAR_START = _DIGITS | _IDENT_START | frozenset("-+*^()")
 
 
 # -- parser ---------------------------------------------------------------
 
 
 class _Parser:
-    """Recursive descent over the token list; `pos` indexes the next token.
+    """Recursive descent over the token strings; `pos` indexes the next token.
 
-    Operators are matched on their text. A 'bad' token matches nothing, so
-    a parse that succeeds has none, and `error` reports the first one in
-    place of whatever the descent tripped over: an unexpected character
-    is reported before any grammar error, wherever the two lie.
+    The list ends in an "" sentinel for the end of input. A token outside
+    the grammar matches nothing, so a parse that succeeds has none, and
+    `error` reports the first one in place of whatever the descent tripped
+    over: an unexpected character is reported before any grammar error,
+    wherever the two lie.
     """
 
     __slots__ = ("text", "toks", "pos", "depth")
 
     def __init__(self, text):
         self.text = text
-        self.toks = _tokenize(text)
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")
         self.pos = 0
         self.depth = 0  # open '(' and unary '-' around the current position
 
-    def error(self, message: str, tok) -> ExprSyntaxError:
-        bad = next((t for t in self.toks if t[0] == "bad"), None)
+    def error(self, message: str, index: int) -> ExprSyntaxError:
+        """The error for the token at `index`, or for the first bad token."""
+        toks = self.toks
+        bad = next(
+            (i for i, tok in enumerate(toks) if tok and tok[0] not in _GRAMMAR_START),
+            None,
+        )
         if bad is not None:
-            message, tok = f"unexpected character {bad[1]!r}", bad
-        # every character before the first bad token is ASCII, so the byte
-        # count equals the char index; encoding keeps the unit in bytes,
-        # one per undecodable argv byte
-        prefix = self.text[: tok[2]].encode("utf-8", "surrogateescape")
-        return ExprSyntaxError(message, len(prefix))
+            message, index = f"unexpected character {toks[bad]!r}", bad
+        # the same scan again, for the char index of token `index`; the
+        # sentinel's is the end of the text. What precedes it is ASCII, so
+        # the char index is the byte offset
+        match = next(islice(_TOKEN.finditer(self.text), index, None), None)
+        offset = len(self.text) if match is None else match.start()
+        return ExprSyntaxError(message, offset)
 
-    def found(self, tok) -> str:
-        return "end of input" if tok[0] == "end" else repr(tok[1])
+    def found(self, tok: str) -> str:
+        return repr(tok) if tok else "end of input"
 
-    def too_long(self, tok) -> ExprSyntaxError:
+    def too_long(self, index: int) -> ExprSyntaxError:
         # int() refuses literals past this limit, as a guard against its
         # quadratic conversion time
         limit = sys.get_int_max_str_digits()
-        return self.error(f"number literal longer than {limit} digits", tok)
+        return self.error(f"number literal longer than {limit} digits", index)
 
     def expr(self) -> Node:
         toks = self.toks
         terms = [(1, self.term())]
         while True:
-            op = toks[self.pos][1]
+            op = toks[self.pos]
             if op == "+":
                 sign = 1
             elif op == "-":
@@ -172,7 +179,7 @@ class _Parser:
     def term(self) -> Node:
         toks = self.toks
         factors = [self.factor()]
-        while toks[self.pos][1] == "*":
+        while toks[self.pos] == "*":
             self.pos += 1
             factors.append(self.factor())
         return factors[0] if len(factors) == 1 else Product(tuple(factors))
@@ -180,57 +187,59 @@ class _Parser:
     def factor(self) -> Node:
         node = self.base()
         pos = self.pos
-        if self.toks[pos][1] != "^":
+        if self.toks[pos] != "^":
             return node
         tok = self.toks[pos + 1]
-        if tok[0] != "nat":
+        if tok[:1] not in _DIGITS:
             raise self.error(
                 "expected a natural-number exponent after '^', "
                 f"found {self.found(tok)}",
-                tok,
+                pos + 1,
             )
         self.pos = pos + 2
         try:
-            return Pow(node, int(tok[1]))
+            return Pow(node, int(tok))
         except ValueError:
-            raise self.too_long(tok) from None
+            raise self.too_long(pos + 1) from None
 
-    def nest(self, tok) -> None:
+    def nest(self) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.error(
-                f"parentheses and unary minus nest deeper than {MAX_NESTING}", tok
+                f"parentheses and unary minus nest deeper than {MAX_NESTING}",
+                self.pos,
             )
 
     def base(self) -> Node:
-        tok = self.toks[self.pos]
-        kind, text = tok[0], tok[1]
-        if kind == "nat":
-            self.pos += 1
+        pos = self.pos
+        tok = self.toks[pos]
+        first = tok[:1]
+        if first in _DIGITS:
+            self.pos = pos + 1
             try:
-                return Num(int(text))
+                return Num(int(tok))
             except ValueError:
-                raise self.too_long(tok) from None
-        if kind == "ident":
-            self.pos += 1
-            return Var(text)
-        if text == "(":
-            self.nest(tok)
-            self.pos += 1
+                raise self.too_long(pos) from None
+        if first in _IDENT_START:
+            self.pos = pos + 1
+            return Var(tok)
+        if tok == "(":
+            self.nest()
+            self.pos = pos + 1
             node = self.expr()
             tok = self.toks[self.pos]
-            if tok[1] != ")":
-                raise self.error(f"expected ')', found {self.found(tok)}", tok)
+            if tok != ")":
+                raise self.error(f"expected ')', found {self.found(tok)}", self.pos)
             self.pos += 1
             self.depth -= 1
             return node
-        if text == "-":
-            self.nest(tok)
-            self.pos += 1
+        if tok == "-":
+            self.nest()
+            self.pos = pos + 1
             node = Neg(self.base())
             self.depth -= 1
             return node
-        raise self.error(f"expected a value, found {self.found(tok)}", tok)
+        raise self.error(f"expected a value, found {self.found(tok)}", pos)
 
 
 def parse(text: str) -> Node:
@@ -238,8 +247,8 @@ def parse(text: str) -> Node:
     p = _Parser(text)
     node = p.expr()
     tok = p.toks[p.pos]
-    if tok[0] != "end":
-        raise p.error(f"trailing input {tok[1]!r}", tok)
+    if tok:
+        raise p.error(f"trailing input {tok!r}", p.pos)
     return node
 
 

@@ -149,6 +149,12 @@ class TestErrors:
             ),
             # an unexpected character wins over an earlier grammar error
             ("x + * $", "unexpected character '$' (byte offset 6)"),
+            # Unicode digits and letters that str.isdigit and str.isalpha
+            # accept are still outside the grammar
+            ("x^²", "unexpected character '²' (byte offset 2)"),
+            ("٣*x", "unexpected character '٣' (byte offset 0)"),
+            ("x+１", "unexpected character '１' (byte offset 2)"),
+            ("é*x", "unexpected character 'é' (byte offset 0)"),
         ],
     )
     def test_messages(self, text, message):

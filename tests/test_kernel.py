@@ -7,7 +7,7 @@ checks that packing is exact.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -161,15 +161,26 @@ class TestAgainstFractionOracle:
             assert Fraction(*impl.terms_eval(pack(ctx, a), point)) == ref_eval(a, vals)
 
     def test_pow_matches_repeated_mul(self, impl):
-        for _, ctx, nvars, draw in cases(23, 40, max_terms=4, max_exp=2):
-            a = draw()
-            ka = pack(ctx, a)
-            acc = {0: (1, 1)}
-            for n in range(6):
+        draws = cases(23, 16, max_terms=6, max_exp=3)
+        bases = [(nvars, draw()) for _, _, nvars, draw in draws]
+        # a leading term that shares variables with the rest; summands
+        # t^k r^(n-k) that overlap, x^2 * y^2 and (x*y)^2; two terms
+        bases += [
+            (2, {(1, 1): Fraction(1), (1, 0): Fraction(1), (0, 2): Fraction(1)}),
+            (2, {(2, 0): Fraction(1, 3), (1, 1): Fraction(-2), (0, 2): Fraction(5, 7)}),
+            (2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-3, 5)}),
+        ]
+        for nvars, base in bases:
+            ctx = context(nvars)
+            ka = pack(ctx, base)
+            # ref_pow and repeated terms_mul, one factor per step
+            acc, ref = {0: (1, 1)}, ref_pow(base, 0, nvars)
+            for n in range(13):
                 got = impl.terms_pow(ka, n)
-                assert unpack(ctx, got) == ref_pow(a, n, nvars)
                 assert got == acc
-                acc = impl.terms_mul(acc, ka)
+                assert unpack(ctx, got) == ref
+                acc, ref = impl.terms_mul(acc, ka), ref_mul(ref, base)
+            assert ka == pack(ctx, base)
         with pytest.raises(ValueError):
             impl.terms_pow({0: (1, 1)}, -1)
 
@@ -238,6 +249,39 @@ def test_cancellation_drops_terms():
     x_plus_y = pack(ctx, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
     assert unpack(ctx, K.terms_mul(x_minus_y, x_plus_y)) == {(2, 0): 1, (0, 2): -1}
     assert K.terms_add(x_minus_y, x_minus_y, -1) == {}
+
+
+class TestPower:
+    """terms_pow beyond the Fraction oracle: identity, zero, size and work."""
+
+    def test_first_power_is_the_input_and_zero_stays_zero(self):
+        a = pack(context(2), {(1, 0): Fraction(1, 2), (0, 1): Fraction(3)})
+        assert K.terms_pow(a, 1) is a
+        assert K.terms_pow({}, 0) == {0: (1, 1)}
+        for n in (1, 2, 7):
+            assert K.terms_pow({}, n) == {}
+
+    def test_binomial_coefficients_of_a_high_power(self):
+        ctx = context(1)
+        x_plus_1 = pack(ctx, {(1,): Fraction(1), (0,): Fraction(1)})
+        got = K.terms_pow(x_plus_1, 3000)
+        assert got == {ctx._pack((k,)): (comb(3000, k), 1) for k in range(3001)}
+
+    def test_work_stays_near_the_output_size(self, monkeypatch):
+        # repeated multiplication by x+y+z makes about 45,500 term products
+        # for the 44th power; the binomial split about 2,000
+        products = []
+        mul = K.terms_mul
+
+        def counting_mul(a, b):
+            products.append(len(a) * len(b))
+            return mul(a, b)
+
+        monkeypatch.setattr(K, "terms_mul", counting_mul)
+        ctx = context(3)
+        base = pack(ctx, {e: Fraction(1) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
+        assert len(K.terms_pow(base, 44)) == comb(46, 2)
+        assert sum(products) <= 5000
 
 
 class TestPacking:
