@@ -16,13 +16,17 @@ to an aligned human rendering.  Errors go to stderr (JSON unless
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 internal error (an exception torsal has no contract error for; it is
 reported as a JSON error of type "error" naming the exception, never as
-a traceback).
+a traceback). A stdout closed by its reader is such an exception: exit 3
+with a JSON error naming BrokenPipeError, or with no message at all if
+stderr is closed too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from fractions import Fraction
 
@@ -94,11 +98,25 @@ def _parse_param_map(raw_map: str, raw_params: str) -> ParamMap:
         raise _UsageError(f"--param-map: {exc}") from None
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_fraction(raw: str, flag: str) -> Fraction:
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"{flag} expects a rational like 2/3: {exc}") from None
+    # n or n/d, as format_rational prints it; digits are counted, never
+    # converted, past the interpreter's integer-string limit
+    match = _RATIONAL.fullmatch(raw)
+    if match is None:
+        raise _UsageError(f"{flag} expects a rational like 2/3 or -5: {raw!r}")
+    num, den = match.group(1), match.group(2) or "1"
+    limit = sys.get_int_max_str_digits()
+    if limit and max(len(num.lstrip("+-")), len(den)) > limit:
+        raise DigitLimitError(
+            f"{flag} has a part longer than {limit} digits, the interpreter's "
+            "limit for reading an integer"
+        )
+    if int(den) == 0:
+        raise _UsageError(f"{flag} has a zero denominator: {raw!r}")
+    return Fraction(int(num), int(den))
 
 
 def _catalog_surface(name: str) -> Hypersurface:
@@ -347,12 +365,24 @@ def _pretty_value(value) -> str:
     return str(value)
 
 
-def _emit(payload: dict, pretty: bool, stream) -> None:
+def _render(payload: dict, pretty: bool) -> str:
     if pretty:
-        stream.write("\n".join(_pretty_lines(payload)) + "\n")
-    else:
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
+        return "\n".join(_pretty_lines(payload)) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write(stream, text: str):
+    """Write and flush text; return the OSError of a closed stream (its
+    descriptor then points at os.devnull, so the flush at shutdown passes)."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return exc
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +513,15 @@ def main(argv=None) -> int:
     except Exception as exc:  # contract error or defect: JSON, never a traceback
         payload, code = _error_payload(exc)
     else:
-        _emit(payload, args.pretty, sys.stdout)
-        return code
+        failure = _write(sys.stdout, _render(payload, args.pretty))
+        if failure is None:
+            return code
+        payload, code = _error_payload(failure)  # stdout closed: exit 3
     if args.pretty:
-        sys.stderr.write(f"error: {payload['error']['message']}\n")
+        text = f"error: {payload['error']['message']}\n"
     else:
-        _emit(payload, False, sys.stderr)
+        text = _render(payload, False)
+    _write(sys.stderr, text)  # a closed stderr too leaves only the exit code
     return code
 
 

@@ -34,9 +34,9 @@ class Hypersurface:
         if f.is_zero():
             raise ValueError("the zero polynomial defines no hypersurface")
         if not f.is_homogeneous():
-            lead_deg = f.leading_monomial().total_degree
+            lead_deg = f.total_degree()
             offending = [
-                _monomial_str(f.context, m.exponents)
+                format_polynomial(Polynomial(f.context, {m: 1}))
                 for m, _ in f.sorted_terms()
                 if m.total_degree != lead_deg
             ]
@@ -58,16 +58,6 @@ class Hypersurface:
 
     def __repr__(self):
         return f"Hypersurface({self.f})"
-
-
-def _monomial_str(context, exps):
-    factors = []
-    for name, e in zip(context.names, exps):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors) if factors else "1"
 
 
 class ParamMap:

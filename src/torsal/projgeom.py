@@ -152,14 +152,11 @@ def change_polynomial_coordinates(f: Polynomial, m: FrameMatrix) -> Polynomial:
         raise ContextMismatchError(
             f"coordinate change needs a 5-variable context, got {len(names)}"
         )
-    variables = f.context.variables()
-    assignment = {}
-    for i, name in enumerate(names):
-        form = Polynomial.zero(f.context)
-        for j in range(5):
-            if m.rows[i][j]:
-                form = form + variables[j] * m.rows[i][j]
-        assignment[name] = form
+    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    assignment = {
+        name: Polynomial(f.context, dict(zip(units, row)))
+        for name, row in zip(names, m.rows)
+    }
     return f.substitute(assignment, target_context=f.context)
 
 

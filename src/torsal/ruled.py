@@ -35,7 +35,6 @@ from torsal.hypersurface import (
 from torsal.polyring import (
     Polynomial,
     VarContext,
-    det_over_ring,
     discriminant,
     primitive_part,
     sylvester_resultant,
@@ -248,65 +247,33 @@ def implicitize_plane_family(lf: LineFamily, outer=("z0", "z4")) -> Hypersurface
     """Implicitize the union of planes spanned by the moving line lf (in
     the plane at infinity) and the moving proper point (1,0,0,0,t).
 
-    Eliminates the family parameter t from {line equation, t*z0 - z4 = 0}
-    by the resultant, then certifies the result: it must be homogeneous
-    and must contain the triangular parametrization read off by solving
-    the line equation for a plane coordinate with constant coefficient.
-    Only that triangular shape is supported.
+    With d the degree of the line equation f(t, y) in t, the surface is
+    h = (-1)^d * z0^d * f(z4/z0, y): f with t renamed to z4, homogenized
+    by z0 to degree d + 1. This equals the resultant
+    Res_t(f, t*z0 - z4), sign included, since the second argument is
+    linear in t. Certified by the pullback identity
+    h(z0, y, t*z0) = (-1)^d * z0^d * f(t, y), which fixes h on the dense
+    set z0 != 0 (VerificationError otherwise). A family of degree 0 in t
+    sweeps no surface (DegreeError).
     """
-    t = lf.param
+    t, f, plane = lf.param, lf.f, lf.plane_vars
     z0_name, z4_name = outer
-    plane = lf.plane_vars
-    names6 = (t, z0_name) + plane + (z4_name,)
-    ctx6 = VarContext(names6)
-    f6 = lf.f.substitute(
-        {n: ctx6.variable(n) for n in lf.f.context.names}, target_context=ctx6
-    )
-    tv = ctx6.variable(t)
-    g = tv * ctx6.variable(z0_name) - ctx6.variable(z4_name)
-    r = sylvester_resultant(f6, g, t)
-    result = r.dehomogenize(t)  # t no longer occurs; this just drops it
-    h = Hypersurface(result)
-
-    # certify: solve the line for a plane variable whose coefficient is a
-    # nonzero constant (the triangular structure), parametrize, substitute
-    pivot = None
-    for name in plane:
-        coeffs = lf.f.coefficients_in(name)
-        if len(coeffs) >= 2 and coeffs[1].is_constant() and not coeffs[1].is_zero():
-            pivot = name
-            break
-    if pivot is None:
+    d = f.degree_in(t)
+    if d < 1:
         raise DegreeError(
-            "no plane coordinate has a constant nonzero coefficient; "
-            "only the triangular family shape is supported"
+            f"family has degree {d} in {t!r}; implicitization needs degree >= 1"
         )
-    free = [n for n in plane if n != pivot]
-    pctx = VarContext(("alpha", "beta", "gamma", t))
-    alpha = pctx.variable("alpha")
-    free_images = dict(zip(free, (pctx.variable("beta"), pctx.variable("gamma"))))
-    c_pivot = lf.f.coefficients_in(pivot)[1].constant_value()
-    rest = lf.f.substitute(
-        {
-            t: pctx.variable(t),
-            pivot: Polynomial.zero(pctx),
-            **free_images,
-        },
-        target_context=pctx,
-    )
-    pivot_image = -rest / c_pivot
-    plane_images = dict(free_images)
-    plane_images[pivot] = pivot_image
-    components = {
-        z0_name: alpha,
-        z4_name: pctx.variable(t) * alpha,
-        **plane_images,
-    }
-    pm = ParamMap([components[n] for n in h.context.names])
-    if not contains_parametrized(h, pm):
+    *ys, z4 = VarContext(plane + (z4_name,)).variables()
+    h = f.substitute({**dict(zip(plane, ys)), t: z4}).homogenize(z0_name, d + 1)
+    h = Hypersurface(-h if d % 2 else h)
+
+    z0, *rest = VarContext((z0_name,) + f.context.names).variables()
+    images = dict(zip(f.context.names, rest))  # f unchanged, with z0 added
+    along = ParamMap([z0, *(images[n] for n in plane), images[t] * z0])
+    if pullback(h.f, along) != (-z0) ** d * f.substitute(images):
         raise VerificationError(
-            "implicitization certificate failed: the triangular "
-            "parametrization does not satisfy the eliminated equation"
+            "implicitization certificate failed: h(z0, y, t*z0) is not "
+            "(-1)^d * z0^d * f(t, y)"
         )
     return h
 
@@ -329,7 +296,9 @@ def focal_system() -> FocalSystem:
     """Derive the focal system of the line foliation symbolically.
 
     Differentiates Z = B1 + lam*B2 by (p, q, lam), rewrites each partial
-    in the moving frame via the exact frame inverse, checks that
+    in the moving frame via the frame's adjugate (its inverse once
+    det(frame) = 1, read off as row 0 of the frame times column 0 of the
+    adjugate; VerificationError otherwise), checks that
     d(Z)/d(lam) is B2 and that everything else lives in
     span{B0, B1, B2, B3 + q*B4}, and returns the 2x2 coefficient system
     of the motion transverse to the generator. Entries end up in the
@@ -340,10 +309,11 @@ def focal_system() -> FocalSystem:
     frame = frame_rows(p, q)
     zero = Polynomial.zero(ctx)
 
-    det = det_over_ring(frame)
-    if det != Polynomial.one(ctx):
+    inv = adjugate(frame)
+    # det(frame) is row 0 of the frame times column 0 of its adjugate;
+    # once it is 1, the adjugate is the inverse
+    if sum((frame[0][j] * inv[j][0] for j in range(5)), zero) != 1:
         raise VerificationError("frame determinant is not 1")
-    inv = adjugate(frame)  # equals the inverse since det = 1
 
     Z = _generator(frame, lam)
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -287,6 +288,40 @@ class TestErrors:
         assert payload["error"]["type"] == "digit-limit"
         assert "4300 digits" in payload["error"]["message"]
 
+    def test_rational_flag_past_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            payload = check(
+                capsys, "error",
+                ["focal", "--surface", "bourgain", "--p", "7" * 4301 + "/3"], 2,
+                error=True,
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert payload["error"]["type"] == "digit-limit"
+        assert payload["error"]["message"].startswith("--p ")
+        assert "4300 digits" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("raw", ["0.5", "1e3", "1/0", " 2/3", "2/-3", "x"])
+    def test_rational_flag_takes_n_or_n_over_d_only(self, capsys, raw):
+        payload = check(
+            capsys, "error", ["focal", "--surface", "bourgain", f"--q={raw}"], 2,
+            error=True,
+        )
+        assert payload["error"]["type"] == "usage"
+        assert payload["error"]["message"].startswith("--q ")
+
+    def test_exponent_form_is_refused_before_any_arithmetic(self, capsys):
+        # Fraction("1e10000000") alone builds a ten-million-digit integer
+        start = time.perf_counter()
+        payload = check(
+            capsys, "error", ["focal", "--surface", "bourgain", "--p=1e10000000"],
+            2, error=True,
+        )
+        assert time.perf_counter() - start < 1
+        assert payload["error"]["type"] == "usage"
+
     def test_equivalence_chain_that_fails_replay_exits_one(
         self, capsys, monkeypatch
     ):
@@ -432,3 +467,42 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["surfaces"]
+
+
+def run_into_closed_pipe(argv, stderr_closed=False):
+    """Run the CLI with stdout (and optionally stderr) a pipe whose read
+    end is already closed, so every write to it fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "torsal", *argv],
+            stdout=write_end,
+            stderr=write_end if stderr_closed else subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog"],
+        # small enough to sit in the buffer: fails only at the final flush
+        ["parse-check", "--expr", "x+1", "--vars", "x"],
+    ],
+)
+def test_closed_stdout_is_an_internal_error(argv):
+    proc = run_into_closed_pipe(argv)
+    assert proc.returncode == 3
+    payload = json.loads(proc.stderr)  # one JSON document, nothing else
+    assert not list(Draft202012Validator(load_schema("error")).iter_errors(payload))
+    assert payload["error"]["type"] == "error"
+    assert "BrokenPipeError" in payload["error"]["message"]
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_closed_stdout_and_stderr_exit_three_silently():
+    proc = run_into_closed_pipe(["catalog"], stderr_closed=True)
+    assert proc.returncode == 3

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from torsal import catalog
+from torsal import catalog, projgeom, ruled
 from torsal.errors import (
     DegreeError,
     NotContainedError,
@@ -13,7 +13,13 @@ from torsal.errors import (
     VerificationError,
 )
 from torsal.hypersurface import ParamMap, tangent_hyperplane
-from torsal.polyring import Polynomial, VarContext, content, equal_up_to_scalar
+from torsal.polyring import (
+    Polynomial,
+    VarContext,
+    content,
+    equal_up_to_scalar,
+    sylvester_resultant,
+)
 from torsal.projgeom import ProjPoint
 from torsal.ruled import (
     CHART_NOTE,
@@ -236,6 +242,15 @@ class TestFocal:
         lam = system.determinant.context.variable("lam")
         assert system.determinant == -(lam ** 2)
 
+    def test_frame_determinant_other_than_one_is_refused(self, monkeypatch):
+        def doubled_first_row(p, q):
+            rows = projgeom.frame_rows(p, q)
+            return (tuple(2 * x for x in rows[0]),) + rows[1:]
+
+        monkeypatch.setattr(ruled, "frame_rows", doubled_first_row)
+        with pytest.raises(VerificationError, match="determinant"):
+            focal_system()
+
     def test_focal_rejects_surface_without_that_generator(self):
         quadric = catalog.hypersurface("quadric-control")
         with pytest.raises(NotContainedError):
@@ -329,6 +344,77 @@ class TestImplicitization:
         family = infinity_line_family(bourgain)
         with pytest.raises((VerificationError, DegreeError, ValueError)):
             implicitize_plane_family(family, outer=("z1", "z3"))
+
+    def test_equals_the_resultant_on_triangular_families(self, bourgain):
+        rng = random.Random(4242)
+        families = [infinity_line_family(bourgain)]
+        families += [
+            seeded_family(rng, 1 + i % 5, triangular=True) for i in range(200)
+        ]
+        for family in families:
+            assert implicitize_plane_family(family).f == eliminated(family)
+
+    def test_dense_families_are_the_homogenized_family(self):
+        rng = random.Random(777)
+        for i in range(100):
+            d = 1 + i % 5
+            family = seeded_family(rng, d, triangular=False)
+            h = implicitize_plane_family(family)
+            assert h.context.names == ("z0", "z1", "z2", "z3", "z4")
+            for _ in range(3):
+                z0, z1, z2, z3, z4 = (
+                    Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 4))
+                    for _ in range(5)
+                )
+                family_value = family.f.evaluate([z4 / z0, z1, z2, z3])
+                assert h.f.evaluate([z0, z1, z2, z3, z4]) == (
+                    (-1) ** d * z0 ** d * family_value
+                )
+
+    def test_family_constant_in_the_parameter_is_rejected(self):
+        p, z1, z2, z3 = VarContext(["p", "z1", "z2", "z3"]).variables()
+        with pytest.raises(DegreeError):
+            implicitize_plane_family(LineFamily(z1 + 2 * z2 - z3, "p"))
+
+    def test_tampered_construction_fails_the_certificate(self, bourgain, monkeypatch):
+        homogenize = Polynomial.homogenize
+
+        def one_term_more(self, new_var, degree=None):
+            h = homogenize(self, new_var, degree)
+            return h + h.context.variable(new_var) ** h.total_degree()
+
+        monkeypatch.setattr(Polynomial, "homogenize", one_term_more)
+        with pytest.raises(VerificationError):
+            implicitize_plane_family(infinity_line_family(bourgain))
+
+
+def seeded_family(rng, d, triangular):
+    """A line family of degree exactly d in p: sum over p^k of a linear
+    form in z1, z2, z3. Triangular ones give z1 a constant coefficient."""
+    ctx = VarContext(["p", "z1", "z2", "z3"])
+    terms = {}
+    for k in range(d + 1):
+        for j in range(3):
+            c = rng.randint(-9, 9)
+            if triangular and j == 0:
+                c = rng.choice([-3, -1, 1, 2]) if k == 0 else 0
+            elif k == d and j == 1:
+                c = c or 1  # keeps the degree in p at d
+            if c:
+                terms[(k,) + tuple(int(i == j) for i in range(3))] = c
+    return LineFamily(Polynomial(ctx, terms), "p")
+
+
+def eliminated(family):
+    """Res_t(f, t*z0 - z4) by the subresultant PRS, as a polynomial in
+    (z0, plane coordinates, z4): the reference implicit equation."""
+    t = family.param
+    ctx = VarContext((t, "z0") + family.plane_vars + ("z4",))
+    f = family.f.substitute(
+        {n: ctx.variable(n) for n in family.f.context.names}, target_context=ctx
+    )
+    line = ctx.variable(t) * ctx.variable("z0") - ctx.variable("z4")
+    return sylvester_resultant(f, line, t).dehomogenize(t)
 
 
 class TestGeneratorMap:
