@@ -11,7 +11,9 @@ subcommand, rationals are rendered as ``num/den`` strings by
 coefficients), and each subcommand's output validates against the
 matching schema shipped in ``torsal/schemas/``.  ``--pretty`` switches
 to an aligned human rendering.  Errors go to stderr (JSON unless
-``--pretty``).
+``--pretty``); argparse's own errors (unknown subcommand, missing or
+unknown flag, bad flag value) come before ``--pretty`` is read, so they
+are always JSON. ``-h`` prints help on stdout and exits 0.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 internal error (an exception torsal has no contract error for; it is
@@ -51,7 +53,7 @@ from torsal.hypersurface import (
     pullback,
     singular_locus_generators,
 )
-from torsal.polyring import Polynomial, VarContext, format_polynomial, format_rational
+from torsal.polyring import VarContext, format_polynomial, format_rational
 
 _EXIT_OK = 0
 _EXIT_VERIFY = 1
@@ -60,7 +62,16 @@ _EXIT_INTERNAL = 3
 
 
 class _UsageError(Exception):
-    """Bad arguments detected after argparse (unknown surface, bad map, ...)."""
+    """Bad arguments: argparse's own errors (see ``_Parser``) and those
+    detected after it (unknown surface, bad map, ...)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises its errors instead of printing usage
+    text and exiting, so main reports them as JSON; subparsers inherit it."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def schema_path(name: str):
@@ -175,13 +186,10 @@ def _smooth_witness(h: Hypersurface):
 def _cmd_singular_locus(args) -> tuple:
     h = _catalog_surface(args.surface)
     generators = singular_locus_generators(h)
-    plane_ctx = VarContext(["a", "b", "c"])
-    a, b, c = plane_ctx.variables()
-    plane_point = [Polynomial.zero(plane_ctx), a, b, c, Polynomial.zero(plane_ctx)]
+    a, b, c = VarContext(["a", "b", "c"]).variables()
+    plane = ParamMap([0 * a, a, b, c, 0 * a])
+    on_plane = all(pullback(g, plane).is_zero() for g in generators)
     names = h.context.names
-    on_plane = all(
-        g.substitute(dict(zip(names, plane_point))).is_zero() for g in generators
-    )
     payload = {
         "surface": args.surface,
         "polynomial": format_polynomial(h.f),
@@ -481,7 +489,7 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torsal",
         description="exact construction and verification of ruled hypersurfaces",
     )
@@ -501,23 +509,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return _EXIT_USAGE if exc.code not in (0, None) else int(exc.code or 0)
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # -h printed the help text on stdout
+        return _EXIT_OK
+    except _UsageError as exc:  # --pretty is not read yet: the error is JSON
+        return _report(exc, False)
     # looked up per call, so a replaced _cmd_<name> takes effect
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         payload, code = command(args)
     except Exception as exc:  # contract error or defect: JSON, never a traceback
-        payload, code = _error_payload(exc)
-    else:
-        failure = _write(sys.stdout, _render(payload, args.pretty))
-        if failure is None:
-            return code
-        payload, code = _error_payload(failure)  # stdout closed: exit 3
-    if args.pretty:
+        return _report(exc, args.pretty)
+    failure = _write(sys.stdout, _render(payload, args.pretty))
+    if failure is None:
+        return code
+    return _report(failure, args.pretty)  # stdout closed: exit 3
+
+
+def _report(exc: Exception, pretty: bool) -> int:
+    """Write the error for exc to stderr and return its exit code."""
+    payload, code = _error_payload(exc)
+    if pretty:
         text = f"error: {payload['error']['message']}\n"
     else:
         text = _render(payload, False)

@@ -508,14 +508,14 @@ class Polynomial:
         return Polynomial._make(target, acc)
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at a rational point (one entry per context variable)."""
+        """Exact value at a rational point: one int or Fraction per context
+        variable (TypeError for any other entry)."""
         point = list(point)
         if len(point) != len(self.context):
             raise ValueError(
                 f"point has {len(point)} entries, context has {len(self.context)}"
             )
-        pairs = [_coeff_pair(x if isinstance(x, (int, Fraction)) else Fraction(x))
-                 for x in point]
+        pairs = [_coeff_pair(x) for x in point]
         return Fraction(*K.terms_eval(self._terms, pairs))
 
     def homogenize(self, new_var: str, degree: int | None = None) -> "Polynomial":

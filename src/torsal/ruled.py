@@ -36,10 +36,11 @@ from torsal.polyring import (
     Polynomial,
     VarContext,
     discriminant,
+    eliminate,
     primitive_part,
     sylvester_resultant,
 )
-from torsal.projgeom import ProjPoint, adjugate, frame_bourgain, frame_rows, rank
+from torsal.projgeom import ProjPoint, _frac, frame_bourgain, frame_rows, rank
 
 SAMPLE_COUNT = 7
 DEFAULT_SEED = 1729
@@ -211,8 +212,9 @@ def envelope(lf: LineFamily) -> Polynomial:
 
 
 def conic_tangency_point(p) -> ProjPoint:
-    """Where the moving line touches its envelope: frame row B1 at p."""
-    p = Fraction(p)
+    """Where the moving line touches its envelope: frame row B1 at p, an
+    int or Fraction (TypeError otherwise)."""
+    p = _frac(p)
     return ProjPoint(frame_rows(p, p * 0)[1])
 
 
@@ -229,17 +231,9 @@ def infinity_line_family(h: Hypersurface) -> LineFamily:
     For a surface ruled over the line spanned by the first and last
     basis points this is a family of lines (LineFamily validates)."""
     names = h.context.names
-    mid = names[1:4]
-    ctx = VarContext(("p",) + mid)
-    p = ctx.variable("p")
-    assignment = {
-        names[0]: Polynomial.one(ctx),
-        names[4]: p,
-        names[1]: ctx.variable(mid[0]),
-        names[2]: ctx.variable(mid[1]),
-        names[3]: ctx.variable(mid[2]),
-    }
-    restricted = h.f.substitute(assignment, target_context=ctx)
+    ctx = VarContext(("p",) + names[1:4])
+    p, *mid = ctx.variables()
+    restricted = h.f.substitute(dict(zip(names, (1, *mid, p))), target_context=ctx)
     return LineFamily(restricted, "p")
 
 
@@ -295,60 +289,44 @@ def generator_map() -> ParamMap:
 def focal_system() -> FocalSystem:
     """Derive the focal system of the line foliation symbolically.
 
-    Differentiates Z = B1 + lam*B2 by (p, q, lam), rewrites each partial
-    in the moving frame via the frame's adjugate (its inverse once
-    det(frame) = 1, read off as row 0 of the frame times column 0 of the
-    adjugate; VerificationError otherwise), checks that
-    d(Z)/d(lam) is B2 and that everything else lives in
-    span{B0, B1, B2, B3 + q*B4}, and returns the 2x2 coefficient system
-    of the motion transverse to the generator. Entries end up in the
-    (q, lam) ring; the determinant is -lam^2.
+    Differentiates Z = B1 + lam*B2 by (lam, p, q) and solves for the
+    frame coordinates of each partial in one fraction-free elimination
+    (``eliminate``) of [F^T | partials], F the frame. It leaves
+    [d*I | X] with sign*d = det(F), which must be 1 (VerificationError
+    otherwise); then sign*X holds the coordinates. Checks that d(Z)/d(lam)
+    is B2 and that the transverse motion lives in span{B0, B3 + q*B4},
+    and returns the 2x2 coefficient system of that motion. Entries end
+    up in the (q, lam) ring; the determinant is -lam^2.
     """
     ctx = VarContext(["p", "q", "lam"])
     p, q, lam = ctx.variables()
     frame = frame_rows(p, q)
-    zero = Polynomial.zero(ctx)
-
-    inv = adjugate(frame)
-    # det(frame) is row 0 of the frame times column 0 of its adjugate;
-    # once it is 1, the adjugate is the inverse
-    if sum((frame[0][j] * inv[j][0] for j in range(5)), zero) != 1:
-        raise VerificationError("frame determinant is not 1")
-
     Z = _generator(frame, lam)
-
-    def in_frame(vec):
-        # row vector of A-coordinates -> row vector of frame coordinates
-        return [
-            sum((vec[j] * inv[j][k] for j in range(5)), zero) for k in range(5)
-        ]
-
-    d_lam = in_frame([c.partial_derivative("lam") for c in Z])
-    if d_lam != [zero, zero, Polynomial.one(ctx), zero, zero]:
+    # row j: column j of the frame, then coordinate j of each partial
+    work = [
+        [row[j] for row in frame]
+        + [Z[j].partial_derivative(v) for v in ("lam", "p", "q")]
+        for j in range(5)
+    ]
+    sign, _ = eliminate(work)
+    # a singular frame leaves work[4][4] zero
+    if sign * work[4][4] != 1:
+        raise VerificationError("frame determinant is not 1")
+    d_lam, d_p, d_q = ([sign * row[col] for row in work] for col in (5, 6, 7))
+    if d_lam != [0, 0, 1, 0, 0]:
         raise VerificationError("d(Z)/d(lam) is not the frame point B2")
 
-    rows = []
-    for var in ("p", "q"):
-        coeffs = in_frame([c.partial_derivative(var) for c in Z])
-        # transverse part: B1, B2 components are motion along the
-        # generator itself and are discarded
-        b0, b3, b4 = coeffs[0], coeffs[3], coeffs[4]
-        if b4 != q * b3:
+    # transverse part: B1, B2 components are motion along the generator
+    # itself and are discarded
+    for coeffs in (d_p, d_q):
+        if coeffs[4] != q * coeffs[3]:
             raise VerificationError(
                 "transverse motion is not in span{B0, B3 + q*B4}"
             )
-        rows.append((b0, b3))
-    matrix = [[rows[0][0], rows[1][0]], [rows[0][1], rows[1][1]]]
-
-    out = []
-    for row in matrix:
-        out_row = []
-        for entry in row:
-            if "p" in entry.variables_present():
-                raise VerificationError("focal entries unexpectedly involve p")
-            out_row.append(entry.dehomogenize("p"))
-        out.append(out_row)
-    return FocalSystem(out)
+    matrix = [[d_p[0], d_q[0]], [d_p[3], d_q[3]]]
+    if any("p" in e.variables_present() for row in matrix for e in row):
+        raise VerificationError("focal entries unexpectedly involve p")
+    return FocalSystem([[e.dehomogenize("p") for e in row] for row in matrix])
 
 
 def _divisors(n: int) -> list:
@@ -408,9 +386,10 @@ def focal_points_on_generator(h: Hypersurface, p, q) -> FocalReport:
     """Roots of the focal determinant on the (p, q) generator, with the
     corresponding points and their at-infinity status.
 
-    Verifies first that the generator actually lies on h. The report
-    carries the focal system whose determinant was solved."""
-    p, q = Fraction(p), Fraction(q)
+    p and q are int or Fraction (TypeError otherwise). Verifies first
+    that the generator actually lies on h. The report carries the focal
+    system whose determinant was solved."""
+    p, q = _frac(p), _frac(q)
     rows = frame_bourgain(p, q).rows
     lam_ctx = VarContext(["lam"])
     lam = lam_ctx.variable("lam")
@@ -445,9 +424,12 @@ def pencil_structure_report(h: Hypersurface) -> PencilReport:
     plane pencils: for fixed p all generators pass through one center
     lying on the envelope conic, inside one moving 2-plane contained in h.
 
-    Every check is a symbolic polynomial identity. Only the standard
-    cubic (in any variable names) is accepted; anything else raises
-    VerificationError.
+    Every check is a symbolic polynomial identity about the frame rows
+    B0, B1, B2, built once over Q[p, q, alpha, beta, gamma]: B1 carries
+    no q, B2 = q*B0 - (dB1/dp)/2, the plane alpha*B0 + beta*B1 -
+    gamma*(dB1/dp)/2 lies on h, and B1 lies on the envelope conic. Only
+    the standard cubic (in any variable names) is accepted; anything
+    else raises VerificationError, which names every failed check.
     """
     if h.f != catalog.get("bourgain").polynomial.rename(h.context.names):
         raise VerificationError(
@@ -455,53 +437,31 @@ def pencil_structure_report(h: Hypersurface) -> PencilReport:
             "cubic; got a different polynomial"
         )
 
-    checks = []
-
     lf = infinity_line_family(h)
-    checks.append(("slice at infinity is a family of lines", True))
-
     conic = envelope(lf)
 
-    p, q = VarContext(["p", "q"]).variables()
+    ctx = VarContext(["p", "q", "alpha", "beta", "gamma"])
+    p, q, alpha, beta, gamma = ctx.variables()
     b0, b1, b2 = frame_rows(p, q)[:3]
-    center_fixed = all(c.partial_derivative("q").is_zero() for c in b1)
-    checks.append(("pencil center does not move with q", center_fixed))
-
     db1 = [c.partial_derivative("p") for c in b1]
-    in_plane = all(
-        b2j == q * b0j - db1j / 2 for b2j, b0j, db1j in zip(b2, b0, db1)
-    )
-    checks.append(
-        ("generators lie in the plane of the center, its tangent "
-         "direction, and the moving point", in_plane)
-    )
-
-    alpha, beta, gamma, p = VarContext(["alpha", "beta", "gamma", "p"]).variables()
-    b0p, b1p = frame_rows(p, p * 0)[:2]
-    db1p = [c.partial_derivative("p") for c in b1p]
+    # B0, B1 and dB1/dp carry no q (check 2 certifies it for B1), so the
+    # moving plane and the centers are read off these rows
     plane_map = ParamMap(
-        [
-            alpha * a + beta * b - gamma * d / 2
-            for a, b, d in zip(b0p, b1p, db1p)
-        ]
+        [alpha * a + beta * b - gamma * d / 2 for a, b, d in zip(b0, b1, db1)]
     )
-    checks.append(
+    center = {lf.param: p, **dict(zip(lf.plane_vars, b1[1:4]))}
+    checks = [
+        ("slice at infinity is a family of lines", True),
+        ("pencil center does not move with q",
+         all(c.partial_derivative("q").is_zero() for c in b1)),
+        ("generators lie in the plane of the center, its tangent "
+         "direction, and the moving point",
+         all(b2j == q * b0j - db1j / 2 for b2j, b0j, db1j in zip(b2, b0, db1))),
         ("moving 2-plane lies on the hypersurface",
-         contains_parametrized(h, plane_map))
-    )
-
-    tangency = conic_tangency_map()
-    tctx = tangency.context
-    center_on_conic = conic.substitute(
-        {
-            lf.param: tctx.variable("p"),
-            lf.plane_vars[0]: tangency.components[1],
-            lf.plane_vars[1]: tangency.components[2],
-            lf.plane_vars[2]: tangency.components[3],
-        },
-        target_context=tctx,
-    ).is_zero()
-    checks.append(("pencil centers lie on the envelope conic", center_on_conic))
+         contains_parametrized(h, plane_map)),
+        ("pencil centers lie on the envelope conic",
+         conic.substitute(center, target_context=ctx).is_zero()),
+    ]
 
     if not all(ok for _, ok in checks):
         failed = [name for name, ok in checks if not ok]

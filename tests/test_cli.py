@@ -346,6 +346,43 @@ class TestErrors:
         assert "5" in payload["error"]["message"]
 
 
+_SEED_FLAGS = [
+    "gauss-rank", "--surface", "bourgain",
+    "--param-map", "1,u,v-p*u,p*v,p", "--params", "p,u,v",
+]
+
+
+class TestArgparseErrors:
+    """argparse's own failures are JSON errors of type "usage", exit 2,
+    whatever the output flags: the parse fails before --pretty is read."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nosuch"],
+            ["gauss-rank", "--surface", "bourgain"],
+            ["focal", "--surface", "bourgain", "--bogus", "1"],
+            _SEED_FLAGS + ["--seed", "abc"],
+            ["catalog", "--json", "--pretty"],
+            ["nosuch", "--pretty"],
+        ],
+    )
+    def test_is_a_json_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        validator = Draft202012Validator(load_schema("error"))
+        assert not list(validator.iter_errors(payload))
+        assert payload["error"]["type"] == "usage"
+        assert payload["error"]["message"].startswith("torsal")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["focal", "--help"]])
+    def test_help_goes_to_stdout_and_exits_zero(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: torsal")
+
+
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, capsys):
         for argv in (

@@ -1,6 +1,7 @@
 """Ring, calculus, and elimination primitives."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,16 @@ class TestSubstitution:
             via_sub = f.substitute(dict(zip(ctx.names, point)), target_context=ctx)
             assert via_sub.is_constant()
             assert via_sub.constant_value() == f.evaluate(point)
+
+    def test_evaluate_takes_int_or_fraction_only(self):
+        ctx = VarContext(["x", "y"])
+        x, y = ctx.variables()
+        f = 3 * x * y - y / 2
+        assert f.evaluate([2, 5]) == f.evaluate([Fraction(2), Fraction(5)])
+        assert f.evaluate([Fraction(1, 3), 4]) == 2
+        for bad in (0.1, "1/3", Decimal("0.1")):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                f.evaluate([bad, 1])
 
     def test_missing_assignment(self):
         ctx = VarContext(["x", "y"])

@@ -1,6 +1,7 @@
 """Ruling structure: rank, envelopes, focal points, pencil certificates."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,13 @@ class TestTangency:
             pt = conic_tangency_point(p)
             assert pt == ProjPoint([0, 1, -2 * p, -(p ** 2), 0])
 
+    def test_tangency_point_takes_int_or_fraction_only(self):
+        assert conic_tangency_point(2) == conic_tangency_point(Fraction(2))
+        assert conic_tangency_point(2) == ProjPoint([0, 1, -4, -4, 0])
+        for bad in (0.1, "2/3", Decimal("0.1")):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                conic_tangency_point(bad)
+
     def test_dual_constancy_along_generators(self, bourgain):
         """Two distinct affine points of one generator share their dual."""
         rng = random.Random(85)
@@ -250,6 +258,72 @@ class TestFocal:
         monkeypatch.setattr(ruled, "frame_rows", doubled_first_row)
         with pytest.raises(VerificationError, match="determinant"):
             focal_system()
+
+    def test_entries_are_the_frame_coordinates_of_the_partials(self):
+        """Each entry against an independent route: the Fraction inverse
+        of the numeric frame applied to the partials of the generator."""
+        system = focal_system()
+        gmap = generator_map()
+        partials = {
+            v: [c.partial_derivative(v) for c in gmap.components] for v in ("p", "q")
+        }
+        rng = random.Random(88)
+        for _ in range(60):
+            p, q, lam = (
+                Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)
+            )
+            inv = projgeom.frame_bourgain(p, q).invert().rows
+
+            def frame_coords(var):
+                vec = [c.evaluate([p, q, lam]) for c in partials[var]]
+                return [sum(vec[j] * inv[j][k] for j in range(5)) for k in range(5)]
+
+            by_p, by_q = frame_coords("p"), frame_coords("q")
+            expected = ((by_p[0], by_q[0]), (by_p[3], by_q[3]))
+            got = tuple(
+                tuple(e.evaluate([q, lam]) for e in row) for row in system.matrix
+            )
+            assert got == expected
+            # the transverse motion is along B3 + q*B4
+            assert by_p[4] == q * by_p[3] and by_q[4] == q * by_q[3]
+
+    def test_frame_of_determinant_minus_one_is_refused(self, monkeypatch):
+        def swapped_last_rows(p, q):
+            b0, b1, b2, b3, b4 = projgeom.frame_rows(p, q)
+            return (b0, b1, b2, b4, b3)
+
+        monkeypatch.setattr(ruled, "frame_rows", swapped_last_rows)
+        with pytest.raises(VerificationError, match="determinant"):
+            focal_system()
+
+    def test_row_swaps_of_the_elimination_keep_the_coordinates_signed(
+        self, monkeypatch
+    ):
+        # (B0, B1, B2, B4, -B3) still has determinant 1, but its
+        # elimination swaps rows; Z's partials then pass the determinant
+        # and d(Z)/d(lam) = B2 checks and fail only the transverse one,
+        # since B3 + q*B4 = q*B3' - B4' in the new frame
+        def rotated_last_rows(p, q):
+            b0, b1, b2, b3, b4 = projgeom.frame_rows(p, q)
+            return (b0, b1, b2, b4, tuple(-x for x in b3))
+
+        monkeypatch.setattr(ruled, "frame_rows", rotated_last_rows)
+        with pytest.raises(VerificationError, match="transverse motion"):
+            focal_system()
+
+    def test_generator_coordinates_take_int_or_fraction_only(self, bourgain):
+        by_int = focal_points_on_generator(bourgain, 1, Fraction(2, 3))
+        by_fraction = focal_points_on_generator(bourgain, Fraction(1), Fraction(2, 3))
+        assert (by_int.p, by_int.q, by_int.roots, by_int.residual) == (
+            by_fraction.p, by_fraction.q, by_fraction.roots, by_fraction.residual
+        )
+        assert by_int.system.matrix == by_fraction.system.matrix
+        assert type(by_int.p) is Fraction and by_int.p == 1
+        for bad in (0.1, "2/3", Decimal("0.1")):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                focal_points_on_generator(bourgain, bad, 1)
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                focal_points_on_generator(bourgain, 1, bad)
 
     def test_focal_rejects_surface_without_that_generator(self):
         quadric = catalog.hypersurface("quadric-control")
@@ -332,6 +406,64 @@ class TestPencilReport:
     def test_other_surfaces_are_rejected(self):
         with pytest.raises(VerificationError):
             pencil_structure_report(catalog.hypersurface("cylinder-control"))
+
+
+def _tangent_of_center(p):
+    """dB1/dp for the cubic's frame row B1 = (0, 1, -2p, -p^2, 0)."""
+    zero = p * 0
+    return (zero, zero, -2 * p ** 0, -2 * p, zero)
+
+
+def _center_moving_with_q(p, q):
+    # B1 scaled by 1 + q: the same centers, conic point and plane, but B1
+    # now moves with q; B2 is rebuilt so that check 3 still holds
+    b0, b1, b2, b3, b4 = projgeom.frame_rows(p, q)
+    s = 1 + q
+    b2 = tuple(q * a - s * d / 2 for a, d in zip(b0, _tangent_of_center(p)))
+    return (b0, tuple(s * x for x in b1), b2, b3, b4)
+
+
+def _generator_off_the_plane(p, q):
+    b0, b1, b2, b3, b4 = projgeom.frame_rows(p, q)
+    return (b0, b1, b3, b2, b4)
+
+
+def _plane_off_the_surface(p, q):
+    # B0 moved by B3, and B2 by q*B3 so that B2 = q*B0 - dB1/2 still holds
+    b0, b1, b2, b3, b4 = projgeom.frame_rows(p, q)
+    b0 = tuple(x + y for x, y in zip(b0, b3))
+    b2 = tuple(x + q * y for x, y in zip(b2, b3))
+    return (b0, b1, b2, b3, b4)
+
+
+def _conic_missing_the_centers(lf):
+    # the centers' first plane coordinate is 1, so the added square is 1
+    # there and the conic no longer vanishes on them
+    return envelope(lf) + lf.f.context.variable(lf.plane_vars[0]) ** 2
+
+
+class TestPencilChecksAreComputed:
+    @pytest.mark.parametrize(
+        "target, patch, failed",
+        [
+            ("frame_rows", _center_moving_with_q,
+             "pencil center does not move with q"),
+            ("frame_rows", _generator_off_the_plane,
+             "generators lie in the plane of the center, its tangent "
+             "direction, and the moving point"),
+            ("frame_rows", _plane_off_the_surface,
+             "moving 2-plane lies on the hypersurface"),
+            ("envelope", _conic_missing_the_centers,
+             "pencil centers lie on the envelope conic"),
+        ],
+    )
+    def test_each_broken_identity_fails_only_its_check(
+        self, bourgain, monkeypatch, target, patch, failed
+    ):
+        monkeypatch.setattr(ruled, target, patch)
+        with pytest.raises(VerificationError) as exc_info:
+            pencil_structure_report(bourgain)
+        assert str(exc_info.value) == "pencil certificate failed: " + failed
 
 
 class TestImplicitization:
