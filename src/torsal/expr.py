@@ -1,4 +1,4 @@
-"""Polynomial expression parsing: tokenizer, recursive descent, AST.
+"""Polynomial expression parsing: tokenizer, one recursive descent, two builders.
 
 Grammar (whitespace-insensitive, no implicit multiplication, no division):
 
@@ -23,6 +23,18 @@ A token's kind is read from its first character. The descent indexes
 that list directly, so a parse costs time per token, not per character,
 and carries no positions.
 
+Parsing: _Parser holds the one grammar and hands each term of the
+top-level expr to a builder. The AST builder (_Nodes) serves parse(),
+and every parenthesised group, whichever builder reads the text. The
+term builder (_Terms) serves parse_polynomial(): it folds a product of
+numbers, variables and their powers straight into a coefficient and a
+packed key of one term dict, and builds neither nodes nor polynomials
+for it. Any other term (a group, an unknown name, a degree past the
+packing limit) is read again by the grammar as an AST subtree and
+evaluated with to_polynomial, in text order, only after the whole text
+has parsed: every syntax error is raised before any evaluation, and no
+power is expanded before the text is known to be well formed.
+
 Errors: ExprSyntaxError carries the byte offset of the offending input,
 computed only when an error is raised, by scanning again for the
 position of the offending token. A character outside the grammar is
@@ -39,6 +51,7 @@ import re
 import sys
 from itertools import islice
 
+from torsal._kernel import DEGREE_LIMIT, add_into
 from torsal._record import Record
 from torsal.errors import ExprSyntaxError
 from torsal.polyring import Polynomial, VarContext, signed_sum
@@ -161,9 +174,21 @@ class _Parser:
         limit = sys.get_int_max_str_digits()
         return self.error(f"number literal longer than {limit} digits", index)
 
-    def expr(self) -> Node:
+    def read(self, build) -> None:
+        """The whole text as one expr whose terms go to `build`."""
+        self.expr(build)
+        tok = self.toks[self.pos]
+        if tok:
+            raise self.error(f"trailing input {tok!r}", self.pos)
+
+    def expr(self, build) -> None:
+        """Each term, with its sign, goes to ``build(self, sign)``.
+
+        The builder reads the term from ``self.pos`` on and leaves ``pos``
+        after it.
+        """
         toks = self.toks
-        terms = [(1, self.term())]
+        build(self, 1)
         while True:
             op = toks[self.pos]
             if op == "+":
@@ -171,10 +196,9 @@ class _Parser:
             elif op == "-":
                 sign = -1
             else:
-                break
+                return
             self.pos += 1
-            terms.append((sign, self.term()))
-        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
+            build(self, sign)
 
     def term(self) -> Node:
         toks = self.toks
@@ -226,13 +250,14 @@ class _Parser:
         if tok == "(":
             self.nest()
             self.pos = pos + 1
-            node = self.expr()
+            group = _Nodes()
+            self.expr(group)
             tok = self.toks[self.pos]
             if tok != ")":
                 raise self.error(f"expected ')', found {self.found(tok)}", self.pos)
             self.pos += 1
             self.depth -= 1
-            return node
+            return group.node()
         if tok == "-":
             self.nest()
             self.pos = pos + 1
@@ -242,14 +267,134 @@ class _Parser:
         raise self.error(f"expected a value, found {self.found(tok)}", pos)
 
 
+class _Nodes:
+    """The AST builder: the signed terms of one expr, as nodes."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self):
+        self.terms = []
+
+    def __call__(self, p: _Parser, sign: int) -> None:
+        self.terms.append((sign, p.term()))
+
+    def node(self) -> Node:
+        terms = self.terms
+        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
+
+
+# the largest power of a number, in bits, that the term builder computes
+# while it reads; a larger one waits, with its term, for the syntax check
+_FOLD_BITS = 4096
+
+
+class _Terms:
+    """The term builder: the terms of the top-level expr, in one term dict.
+
+    A term that is a product of numbers, context variables and their
+    '^nat' powers, each perhaps behind unary minus, is folded as it is
+    read into an int coefficient and a packed key: a variable adds
+    ``e * unit[name]`` to the key. Every other term (one with a group,
+    an unknown name, a total degree at the packing limit, a power of a
+    number past _FOLD_BITS, or a syntax error) is read again from its
+    first token by the grammar's `term`, and its node is kept in
+    `deferred` with its sign, in text order. The fold reads each token
+    at most once before that, so a descent costs at most two reads per
+    token; before the syntax check it only multiplies the numbers it
+    reads and adds exponents into keys, which cannot fail.
+    """
+
+    __slots__ = ("units", "degree_shift", "nats", "out", "deferred")
+
+    def __init__(self, context: VarContext):
+        self.units = context._units
+        self.degree_shift = context._degree_shift
+        self.nats = {}  # number token -> its int, for the text at hand
+        self.out = {}  # packed key -> (n, 1): every folded coefficient is an int
+        self.deferred = []
+
+    def __call__(self, p: _Parser, sign: int) -> None:
+        folded = self.fold(p.toks, p.pos, sign)
+        if folded is None:
+            self.deferred.append((sign, p.term()))
+            return
+        p.pos, coefficient, key = folded
+        if coefficient:  # add_into's rules, on int coefficients
+            out = self.out
+            cur = out.get(key)
+            if cur is None:
+                out[key] = (coefficient, 1)
+            else:
+                s = cur[0] + coefficient
+                if s:
+                    out[key] = (s, 1)
+                else:
+                    del out[key]
+
+    def fold(self, toks, pos, coefficient):
+        """(next pos, coefficient, key) of the term at `pos`, or None."""
+        units, nats, key = self.units, self.nats, 0
+        while True:
+            tok = toks[pos]
+            negs = 0
+            while tok == "-":  # unary minus: top level, so negs is the depth
+                negs += 1
+                if negs > MAX_NESTING:
+                    return None
+                pos += 1
+                tok = toks[pos]
+            unit = units.get(tok)
+            if unit is None:
+                value = nats.get(tok)
+                if value is None:
+                    value = self.nat(tok)
+                    if value is None:
+                        return None
+            pos += 1
+            e = 1
+            if toks[pos] == "^":
+                tok = toks[pos + 1]
+                e = nats.get(tok)
+                if e is None:
+                    e = self.nat(tok)
+                    if e is None:
+                        return None
+                pos += 2
+            if unit is not None:
+                key += e * unit
+            elif e == 1:
+                coefficient *= value
+            elif value > 1 and value.bit_length() * e > _FOLD_BITS:
+                return None
+            else:
+                coefficient *= value ** e
+            if negs & e & 1:  # (-b)^e is -(b^e) for odd e
+                coefficient = -coefficient
+            if toks[pos] != "*":
+                break
+            pos += 1
+        # a field can only overflow into the next once the degree field,
+        # which is on top, reads at least DEGREE_LIMIT
+        if key >> self.degree_shift >= DEGREE_LIMIT:
+            return None
+        return pos, coefficient, key
+
+    def nat(self, tok):
+        """The value of a number token, kept in `nats`; None for any other."""
+        if tok[:1] not in _DIGITS:
+            return None
+        try:
+            value = self.nats[tok] = int(tok)
+        except ValueError:  # past the digit limit
+            return None
+        return value
+
+
 def parse(text: str) -> Node:
     """Parse expression text to an AST; ExprSyntaxError on bad input."""
-    p = _Parser(text)
-    node = p.expr()
-    tok = p.toks[p.pos]
-    if tok:
-        raise p.error(f"trailing input {tok!r}", p.pos)
-    return node
+    nodes = _Nodes()
+    _Parser(text).read(nodes)
+    return nodes.node()
 
 
 def to_polynomial(node: Node, context: VarContext) -> Polynomial:
@@ -294,5 +439,18 @@ def to_polynomial(node: Node, context: VarContext) -> Polynomial:
 
 
 def parse_polynomial(text: str, context: VarContext) -> Polynomial:
-    """parse() followed by to_polynomial()."""
-    return to_polynomial(parse(text), context)
+    """Parse expression text straight into a polynomial of `context`.
+
+    One descent with the term builder (_Terms): the common terms fold
+    into one term dict as they are read, and no node or per-term
+    Polynomial is built for them. Only once the whole text has parsed,
+    so after every syntax error, are the deferred terms evaluated with
+    to_polynomial, in text order, and added in. The result, or the
+    error raised, is that of ``to_polynomial(parse(text), context)``.
+    """
+    terms = _Terms(context)
+    _Parser(text).read(terms)
+    out = terms.out
+    for sign, node in terms.deferred:
+        add_into(out, to_polynomial(node, context)._terms, sign)
+    return Polynomial._make(context, out)

@@ -85,10 +85,12 @@ class VarContext:
     Exponent vectors of monomials index into it; two contexts compare
     equal exactly when their name tuples match. It also knows the layout
     of packed keys in its ring: the field of variable i starts at bit
-    ``_shifts[i]`` and the total degree at bit ``_degree_shift``.
+    ``_shifts[i]`` and the total degree at bit ``_degree_shift``, and
+    ``_units[name]`` is the key of the variable itself, so adding
+    ``e * _units[name]`` to a key multiplies its monomial by name^e.
     """
 
-    __slots__ = ("names", "_index", "_shifts", "_degree_shift")
+    __slots__ = ("names", "_index", "_shifts", "_degree_shift", "_units")
 
     def __init__(self, names):
         names = tuple(names)
@@ -104,6 +106,10 @@ class VarContext:
         n = len(names)
         self._shifts = tuple((n - 1 - i) * WIDTH for i in range(n))
         self._degree_shift = n * WIDTH
+        self._units = {
+            name: (1 << self._degree_shift) | (1 << s)
+            for name, s in zip(names, self._shifts)
+        }
 
     def index(self, name: str) -> int:
         try:
@@ -140,8 +146,8 @@ class VarContext:
 
     def variable(self, name: str) -> "Polynomial":
         """The variable `name` as a polynomial."""
-        key = (1 << self._degree_shift) | (1 << self._shifts[self.index(name)])
-        return Polynomial._make(self, {key: (1, 1)})
+        self.index(name)  # UnknownVariableError
+        return Polynomial._make(self, {self._units[name]: (1, 1)})
 
     def variables(self) -> tuple["Polynomial", ...]:
         """All context variables, in order, as polynomials."""
@@ -322,7 +328,7 @@ class Polynomial:
     def coefficients_in(self, var: str) -> list:
         """Coefficients of var^0, var^1, ... as polynomials (var removed)."""
         s = self.context._shifts[self.context.index(var)]
-        unit = (1 << self.context._degree_shift) + (1 << s)
+        unit = self.context._units[var]
         deg = self.degree_in(var)
         buckets = [dict() for _ in range(max(deg, 0) + 1)]
         for key, pair in self._terms.items():
@@ -438,7 +444,7 @@ class Polynomial:
     def partial_derivative(self, var: str) -> "Polynomial":
         """Formal partial derivative with respect to `var`."""
         s = self.context._shifts[self.context.index(var)]
-        unit = (1 << self.context._degree_shift) + (1 << s)
+        unit = self.context._units[var]
         out = {}
         for key, (n, d) in self._terms.items():
             e = (key >> s) & MASK
@@ -823,16 +829,23 @@ def format_polynomial(f: Polynomial) -> str:
     """
     if f.is_zero():
         return "0"
-    names, unpack = f.context.names, f.context._unpack
+    context, terms = f.context, f._terms
+    fields = [(MASK << s, s, name) for name, s in zip(context.names, context._shifts)]
+    # the text of each exponent field met, keyed by the field's bits in the
+    # packed key: one entry per variable and exponent, dropped with the call
+    factor_text = {}
     pieces = []
     for idx, key in enumerate(f._keys_descending()):
-        num, den = f._terms[key]
+        num, den = terms[key]
         factors = []
-        for name, e in zip(names, unpack(key)):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
+        for mask, s, name in fields:
+            bits = key & mask
+            if bits:
+                text = factor_text.get(bits)
+                if text is None:
+                    e = bits >> s
+                    text = factor_text[bits] = name if e == 1 else f"{name}^{e}"
+                factors.append(text)
         mag = format_rational(abs(num), den)
         if not factors:
             body = mag

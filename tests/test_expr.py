@@ -3,11 +3,18 @@
 import random
 import re
 import sys
+import time
 
 import pytest
 
 from conftest import make_random_polynomial
-from torsal.errors import DigitLimitError, ExprSyntaxError, UnknownVariableError
+from torsal import expr
+from torsal.errors import (
+    DegreeError,
+    DigitLimitError,
+    ExprSyntaxError,
+    UnknownVariableError,
+)
 from torsal.expr import (
     MAX_NESTING,
     Neg,
@@ -20,7 +27,7 @@ from torsal.expr import (
     parse_polynomial,
     to_polynomial,
 )
-from torsal.polyring import Polynomial, VarContext, format_polynomial
+from torsal.polyring import Polynomial, VarContext, format_polynomial, format_rational
 
 XY = VarContext(["x", "y"])
 
@@ -491,3 +498,198 @@ class TestDifferential:
             round_trips += 1
         # both sides of the grammar are exercised
         assert rejected > 1000 and round_trips > 1000
+
+
+# -- the term builder against parse() followed by to_polynomial() -----------
+
+
+def seed_parse_polynomial(text, ctx):
+    """parse_polynomial as parse() then to_polynomial(): the reference."""
+    return to_polynomial(parse(text), ctx)
+
+
+def outcome(read, text, ctx):
+    """The terms read builds from text, or its exception's type, text and offset."""
+    try:
+        return ("terms", read(text, ctx)._terms)
+    except Exception as exc:  # noqa: BLE001 - every error must match
+        return (type(exc), str(exc), getattr(exc, "offset", None))
+
+
+class TestTermBuilder:
+    def test_seeded_strings_match_parse_then_to_polynomial(self):
+        # the strings of TestDifferential, read in contexts that sometimes
+        # omit a name the text uses
+        rng = random.Random(606060)
+        names_rng = random.Random(707070)
+        kinds = {"terms": 0, "syntax": 0, "evaluation": 0}
+        for _ in range(3000):
+            text = random_expression(
+                rng, ["x", "y", "z", "lam"], depth=rng.randint(0, 3)
+            )
+            for _ in range(rng.randint(0, 3)):
+                i, roll = rng.randint(0, len(text)), rng.random()
+                if roll < 0.5:
+                    text = text[:i] + rng.choice(_SPLICE) + text[i:]
+                elif roll < 0.8:
+                    text = text[:i] + text[i + 1:]
+                else:
+                    text = text[:i] + rng.choice(_SPLICE) * rng.randint(2, 120) + text[i:]
+            names = sorted(set(_IDENT.findall(text))) or ["x"]
+            if len(names) > 1 and names_rng.random() < 0.3:
+                names.remove(names_rng.choice(names))
+            ctx = VarContext(names)
+            try:
+                parse(text)
+            except ExprSyntaxError:
+                pass
+            else:
+                # as in TestDifferential: an exponent of 10 or more is
+                # expanded, not parsed, in both
+                if max(map(int, _EXPONENT.findall(text)), default=0) >= 10:
+                    continue
+            want = outcome(seed_parse_polynomial, text, ctx)
+            assert outcome(parse_polynomial, text, ctx) == want, repr(text)
+            if want[0] == "terms":
+                kinds["terms"] += 1
+            else:
+                kinds["syntax" if want[0] is ExprSyntaxError else "evaluation"] += 1
+        assert kinds["terms"] > 900 and kinds["syntax"] > 1000
+        assert kinds["evaluation"] > 100
+
+    @pytest.mark.parametrize(
+        "text,kind,message",
+        [
+            ("x^4294967296", DegreeError, "power has total degree 4294967296"),
+            ("x^4294967295*x", DegreeError, "monomial (4294967296,) has total degree"),
+            ("q*x^4294967296", UnknownVariableError, "unknown variable 'q'"),
+            ("x^4294967296*q", UnknownVariableError, "unknown variable 'q'"),
+            ("0*x^4294967296", "terms", {}),
+            ("q + )", ExprSyntaxError, "expected a value, found ')' (byte offset 4)"),
+            ("(x+1)^4294967296", DegreeError, "power has total degree 4294967296"),
+            ("-x^4294967296", DegreeError, "power has total degree 4294967296"),
+            ("x*(q+1)", UnknownVariableError, "unknown variable 'q'"),
+            ("(q)^0", UnknownVariableError, "unknown variable 'q'"),
+            ("0*q", UnknownVariableError, "unknown variable 'q'"),
+            ("q^0", UnknownVariableError, "unknown variable 'q'"),
+            ("x^4294967295", "terms", {4294967295 << 32 | 4294967295: (1, 1)}),
+            ("-2^3*x - 3*-x + -(x)", "terms", {1 << 32 | 1: (-6, 1)}),
+            ("1 - " + "-" * 100 + "x", "terms", {0: (1, 1), 1 << 32 | 1: (-1, 1)}),
+            (
+                "1 - " + "-" * 101 + "x",
+                ExprSyntaxError,
+                "nest deeper than 100 (byte offset 104)",
+            ),
+        ],
+    )
+    def test_pinned_inputs(self, text, kind, message):
+        ctx = VarContext(["x"])
+        got = outcome(parse_polynomial, text, ctx)
+        assert got == outcome(seed_parse_polynomial, text, ctx)
+        assert got[0] == kind
+        if kind == "terms":
+            assert got[1] == message
+        else:
+            assert message in got[1]
+
+    @pytest.mark.parametrize("text", ["(x+y+z)^100000 + )", "(x+1)^4294967295 $"])
+    def test_syntax_errors_come_before_any_power(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ExprSyntaxError):
+            parse_polynomial(text, VarContext(["x", "y", "z"]))
+        assert time.perf_counter() - start < 1.0
+
+    def test_canonical_text_builds_no_node_and_no_polynomial_per_term(self, monkeypatch):
+        ctx = VarContext(["x", "y", "z"])
+        f = parse_polynomial("(x+y+z)^44", ctx)
+        text = format_polynomial(f)
+        calls = {"to_polynomial": 0, "_make": 0}
+
+        def counting_to_polynomial(node, context):
+            calls["to_polynomial"] += 1
+            return to_polynomial(node, context)
+
+        make = Polynomial._make.__func__
+
+        def counting_make(cls, context, kterms):
+            calls["_make"] += 1
+            return make(cls, context, kterms)
+
+        monkeypatch.setattr(expr, "to_polynomial", counting_to_polynomial)
+        monkeypatch.setattr(Polynomial, "_make", classmethod(counting_make))
+        assert parse_polynomial(text, ctx) == f
+        assert calls["to_polynomial"] == 0 and calls["_make"] <= 2
+
+
+# -- the formatter against the term-by-term algorithm it replaced ------------
+
+
+def reference_format(f):
+    """Canonical text built term by term from unpacked exponent vectors."""
+    if f.is_zero():
+        return "0"
+    pieces = []
+    for idx, (mono, coef) in enumerate(f.sorted_terms()):
+        num, den = coef.numerator, coef.denominator
+        factors = []
+        for name, e in zip(f.context.names, mono.exponents):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = format_rational(abs(num), den)
+        if not factors:
+            body = mag
+        elif mag == "1":
+            body = "*".join(factors)
+            if idx == 0 and num < 0 and "^" in factors[0]:
+                body = "1*" + body
+        else:
+            body = mag + "*" + "*".join(factors)
+        if idx == 0:
+            pieces.append(body if num > 0 else "-" + body)
+        else:
+            pieces.append((" + " if num > 0 else " - ") + body)
+    return "".join(pieces)
+
+
+class TestFormatter:
+    def test_seeded_polynomials_match_the_reference(self):
+        rng = random.Random(818181)
+        leading_unit = {True: 0, False: 0}  # "-1*" written, or not
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            ctx = VarContext([f"v{i}" for i in range(n)])
+            f = make_random_polynomial(rng, ctx, max_terms=8, max_exp=40)
+            if rng.random() < 0.5:
+                # a new leading term -m: the first variable of m is v_i, with
+                # exponent 1 or more, and the rest of its degree lies after it
+                i = rng.randrange(n)
+                d = max(f.total_degree() + 1, 1)
+                exps = [0] * n
+                exps[i] = 1 if i < n - 1 and rng.random() < 0.5 else rng.randint(1, d)
+                for _ in range(d - exps[i]):
+                    exps[rng.randrange(i + 1, n) if i < n - 1 else i] += 1
+                f = f - Polynomial(ctx, {tuple(exps): 1})
+            text = format_polynomial(f)
+            assert text == reference_format(f), repr(text)
+            if f and f.leading_coefficient() == -1 and f.total_degree() > 0:
+                leading_unit[text.startswith("-1*")] += 1
+        assert leading_unit[True] > 20 and leading_unit[False] > 20
+
+    def test_digit_limit_is_unchanged(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            x, y = XY.variables()
+            for f in (10 ** 4300 * x + y, x ** 2 + y / 10 ** 4300, x - 10 ** 4299 * y):
+                try:
+                    want = reference_format(f)
+                except DigitLimitError as exc:
+                    with pytest.raises(DigitLimitError) as exc_info:
+                        format_polynomial(f)
+                    assert str(exc_info.value) == str(exc)
+                else:
+                    assert format_polynomial(f) == want
+        finally:
+            sys.set_int_max_str_digits(limit)
