@@ -71,6 +71,20 @@ from torsal.errors import (
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+def _times_power(terms, powers, e):
+    """terms * base^e, a new dict unless e is 0 (then terms itself).
+
+    ``powers`` = {1: base, ...} is the caller's memo of the powers of
+    base; ``terms_pow`` makes each one the first time it is needed.
+    """
+    if not e:
+        return terms
+    power = powers.get(e)
+    if power is None:
+        power = powers[e] = K.terms_pow(powers[1], e)
+    return K.terms_mul(terms, power)
+
+
 def _degree_guard(degree, what):
     if degree >= DEGREE_LIMIT:
         raise DegreeError(
@@ -457,17 +471,39 @@ class Polynomial:
 
         Every variable that occurs in f must have an image; images may be
         polynomials (sharing one target context) or plain rationals.
+
+        Horner's rule over the variables that occur in f (Pena and Sauer,
+        "On the multivariate Horner scheme", SIAM J. Numer. Anal. 37(4),
+        2000), one pass per variable, innermost (last) first. Each term
+        starts as a partial image, its coefficient, keyed by its exponent
+        fields. The pass for variable x splits each key into x's exponent
+        and the rest, the fields before x's. Sorted once up front, the
+        keys sharing a rest are adjacent with x-exponents e1 > ... > ek,
+        and their partial images fold into one, keyed by the rest:
+        acc <- acc * img^(e_j - e_j+1) + next, then acc * img^ek. A rest
+        with one partial image at exponent 0 keeps it as it is. A pass
+        makes at most one product per partial image and their number
+        never grows, so a product that many terms share is made once,
+        where expanding each term alone made one per term and variable
+        in it.
+
+        The powers of img come from ``terms_pow``, memoized within the
+        pass and made only for the exponents and gaps that occur:
+        x^800*y + y^800 under x -> x+1, y -> y-x makes 4,003 term
+        products, where building every power of every image up to the
+        largest exponent by repeated multiplication made 1,284,800.
         """
-        images = {}
-        for name, img in assignment.items():
-            self.context.index(name)  # validates the name
-            images[name] = img
+        ctx = self.context
+        index = ctx._index
+        for name in assignment:
+            if name not in index:
+                ctx.index(name)  # UnknownVariableError
         target = target_context
-        for img in images.values():
+        for img in assignment.values():
             if isinstance(img, Polynomial):
                 if target is None:
                     target = img.context
-                elif target != img.context:
+                elif img.context is not target and img.context != target:
                     raise ContextMismatchError(
                         f"substitution images mix contexts "
                         f"({', '.join(target.names)}) vs "
@@ -480,38 +516,52 @@ class Polynomial:
             )
         needed = self.variables_present()
         for name in needed:
-            if name not in images:
+            if name not in assignment:
                 raise MissingAssignmentError(
                     f"no image for variable {name!r} occurring in f"
                 )
-        # variable index -> [image^0, image^1, ...] term dicts, grown on demand
-        powers = {}
+        # (step, image terms) in context order; a pass shifts a key right
+        # by its step to drop the variable's field and those of the absent
+        # variables between it and the next variable present
+        images = []
         image_degree = 0
+        prev = -1
         for name in needed:
-            img = images[name]
+            img = assignment[name]
             if not isinstance(img, Polynomial):
                 img = Polynomial.constant(target, img)
-            powers[self.context.index(name)] = [{0: (1, 1)}, img._terms]
+            i = index[name]
+            images.append((WIDTH * (i - prev), img._terms))
             image_degree = max(image_degree, img.total_degree())
+            prev = i
         if self._terms:
             _degree_guard(self.total_degree() * image_degree, "substitution")
 
-        def power_of(i, e):
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(K.terms_mul(cache[-1], cache[1]))
-            return cache[e]
-
-        shifts = self.context._shifts
-        acc = {}
-        for key, pair in self._terms.items():
-            term = {0: pair}
-            for i, s in enumerate(shifts):
-                e = (key >> s) & MASK
-                if e:
-                    term = K.terms_mul(term, power_of(i, e))
-            K.add_into(acc, term)
-        return Polynomial._make(target, acc)
+        # (exponent fields down to the innermost variable present, partial
+        # image), descending: the keys that share a rest are adjacent
+        fields = (1 << ctx._degree_shift) - 1
+        low = ctx._shifts[prev] if needed else 0
+        partial = sorted(
+            [((key & fields) >> low, {0: pair}) for key, pair in self._terms.items()],
+            reverse=True,
+        )
+        for step, img in reversed(images):
+            powers = {1: img}  # exponent -> img^exponent
+            out = []
+            last, top, acc = -1, 0, None
+            for prefix, part in partial:
+                e = prefix & MASK
+                rest = prefix >> step
+                if rest == last:  # top > e, so the product is a new dict
+                    acc = K.add_into(_times_power(acc, powers, top - e), part)
+                else:
+                    if acc is not None:
+                        out.append((last, _times_power(acc, powers, top)))
+                    last, acc = rest, part
+                top = e
+            out.append((last, _times_power(acc, powers, top)))
+            partial = out
+        return Polynomial._make(target, partial[0][1] if partial else {})
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a rational point: one int or Fraction per context

@@ -152,9 +152,12 @@ def change_polynomial_coordinates(f: Polynomial, m: FrameMatrix) -> Polynomial:
         raise ContextMismatchError(
             f"coordinate change needs a 5-variable context, got {len(names)}"
         )
-    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    # each row's linear form, built from its (lowest-terms) Fractions
+    units = [f.context._units[name] for name in names]
     assignment = {
-        name: Polynomial(f.context, dict(zip(units, row)))
+        name: Polynomial._make(f.context, {
+            unit: (x.numerator, x.denominator) for unit, x in zip(units, row) if x
+        })
         for name, row in zip(names, m.rows)
     }
     return f.substitute(assignment, target_context=f.context)
@@ -170,7 +173,7 @@ def rank(matrix) -> int:
     for r in matrix:
         r = [_frac(x) for x in r]
         scale = lcm(*(x.denominator for x in r)) if r else 1
-        rows.append([int(x * scale) for x in r])
+        rows.append([x.numerator * (scale // x.denominator) for x in r])
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
     return len(eliminate(rows)[1])

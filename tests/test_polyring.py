@@ -26,6 +26,7 @@ from torsal.polyring import (
     primitive_part,
     sylvester_resultant,
 )
+from torsal.projgeom import FrameMatrix, change_polynomial_coordinates, rank
 from torsal.ruled import LineFamily, envelope
 
 
@@ -203,6 +204,177 @@ class TestSubstitution:
         for _ in range(10):
             f = rand_poly(rng, ctx)
             assert f.substitute({n: ctx.variable(n) for n in ctx.names}) == f
+
+
+# -- substitution against the per-term algorithm it replaced ----------------
+
+
+def per_term_substitute(f, images, target):
+    """f's image term by term: each term is expanded on its own, from a
+    list of every power of each image up to the largest exponent used."""
+    powers = {}
+    for name in f.variables_present():
+        img = images[name]
+        if not isinstance(img, Polynomial):
+            img = Polynomial.constant(target, img)
+        powers[f.context.index(name)] = [{0: (1, 1)}, img._terms]
+
+    def power_of(i, e):
+        cache = powers[i]
+        while len(cache) <= e:
+            cache.append(_kernel.terms_mul(cache[-1], cache[1]))
+        return cache[e]
+
+    acc = {}
+    for key, pair in f._terms.items():
+        term = {0: pair}
+        for i, s in enumerate(f.context._shifts):
+            e = (key >> s) & _kernel.MASK
+            if e:
+                term = _kernel.terms_mul(term, power_of(i, e))
+        _kernel.add_into(acc, term)
+    return Polynomial._make(target, acc)
+
+
+def count_products(monkeypatch):
+    """Term products made by kernel multiplication from here on, also
+    those inside terms_pow."""
+    products = []
+    mul = _kernel.terms_mul
+
+    def counting_mul(a, b):
+        products.append(len(a) * len(b))
+        return mul(a, b)
+
+    monkeypatch.setattr(_kernel, "terms_mul", counting_mul)
+    return products
+
+
+def random_image(rng, kind, ctx):
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "fraction":
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    if kind == "zero":
+        return Polynomial.zero(ctx)
+    if kind == "monomial":
+        exps = tuple(rng.randint(0, 2) for _ in ctx.names)
+        return Polynomial(ctx, {exps: Fraction(rng.randint(1, 5), rng.randint(1, 3))})
+    return make_random_polynomial(rng, ctx, max_terms=3, max_exp=1, nonzero=True)
+
+
+def random_sparse(rng, ctx, max_terms, max_degree):
+    """Up to max_terms rational terms, each of total degree <= max_degree."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = [0] * len(ctx.names)
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(len(exps))] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Polynomial(ctx, terms)
+
+
+class TestHornerSubstitution:
+    KINDS = ("int", "fraction", "zero", "monomial", "dense", "dense")
+
+    def test_seeded_substitutions_match_the_per_term_algorithm(self):
+        rng = random.Random(1414)
+        zeros = 0
+        for case in range(600):
+            src = VarContext([f"x{i}" for i in range(rng.randint(1, 6))])
+            dst = VarContext([f"t{i}" for i in range(rng.randint(1, 5))])
+            if rng.random() < 0.3:  # many shared prefixes for Horner to fold
+                f = random_sparse(rng, src, max_terms=24, max_degree=5)
+            else:
+                f = random_sparse(rng, src, max_terms=6, max_degree=12)
+            images = {
+                name: random_image(rng, rng.choice(self.KINDS), dst)
+                for name in src.names
+                if name in f.variables_present() or rng.random() < 0.5
+            }
+            if case % 10 == 0 and len(src) > 1:
+                # x0 and x1 share an image, so g(x0) - g(x1) cancels to zero
+                g = random_sparse(rng, VarContext(["x0"]), max_terms=4, max_degree=12)
+                f = g.substitute({"x0": src.variable("x0")}, src)
+                f = f - g.substitute({"x0": src.variable("x1")}, src)
+                images["x0"] = images["x1"] = random_image(rng, "dense", dst)
+            got = f.substitute(images, target_context=dst)
+            assert got == per_term_substitute(f, images, dst), (f, images)
+            zeros += got.is_zero()
+        assert zeros > 60
+
+    def test_large_exponents_make_few_products(self, monkeypatch):
+        # every power of each image up to the 800th, kept by the per-term
+        # algorithm, made 1,284,800 term products here
+        ctx = VarContext(["x", "y"])
+        x, y = ctx.variables()
+        f = x ** 800 * y + y ** 800
+        want = (x + 1) ** 800 * (y - x) + (y - x) ** 800
+        products = count_products(monkeypatch)
+        assert f.substitute({"x": x + 1, "y": y - x}) == want
+        assert sum(products) <= 20_000
+
+    def test_quartic_coordinate_change_makes_under_half_the_products(self, monkeypatch):
+        # a 12-term quartic under a dense 5x5 frame, as in the benchmark's
+        # frame-quartic op: the per-term algorithm makes 3,105 term products
+        rng = random.Random(1400)
+        while True:
+            rows = [
+                [rng.choice([-1, 1]) * rng.randint(1, 3) for _ in range(5)]
+                for _ in range(5)
+            ]
+            if rank(rows) == 5:
+                break
+        zctx = VarContext(["z0", "z1", "z2", "z3", "z4"])
+        terms = {}
+        while len(terms) < 12:
+            exps = [0] * 5
+            for _ in range(4):
+                exps[rng.randrange(5)] += 1
+            terms[tuple(exps)] = rng.choice([-1, 1]) * rng.randint(1, 9)
+        f = Polynomial(zctx, terms)
+        m = FrameMatrix(rows)
+        forms = {
+            name: Polynomial(zctx, {
+                tuple(int(k == j) for k in range(5)): x for j, x in enumerate(row)
+            })
+            for name, row in zip(zctx.names, rows)
+        }
+        products = count_products(monkeypatch)
+        g = change_polynomial_coordinates(f, m)
+        horner = sum(products)
+        products.clear()
+        assert per_term_substitute(f, forms, zctx) == g
+        assert (horner, sum(products)) == (1323, 3105)
+
+    def test_identity_on_a_wide_context_needs_no_deep_stack(self):
+        ctx = VarContext([f"v{i}" for i in range(1500)])
+        f = Polynomial(ctx, {(1,) * 1500: Fraction(-2, 3)})
+        assert f.substitute({n: ctx.variable(n) for n in ctx.names}) == f
+
+    def test_checks_fire_before_any_product(self, monkeypatch):
+        ctx = VarContext(["x", "y"])
+        other = VarContext(["s"])
+        x, y = ctx.variables()
+        xy = x * y
+        f = Polynomial(ctx, {(3, 1): 2, (0, 2): -1})
+        top = Polynomial(ctx, {(_kernel.DEGREE_LIMIT - 1, 0): 1})
+
+        def refuse(*args):
+            raise AssertionError("a product before the checks")
+
+        monkeypatch.setattr(_kernel, "terms_mul", refuse)
+        monkeypatch.setattr(_kernel, "terms_pow", refuse)
+        with pytest.raises(UnknownVariableError):
+            f.substitute({"x": x, "y": y, "z": x})
+        with pytest.raises(ContextMismatchError):
+            f.substitute({"x": x, "y": other.variable("s")})
+        with pytest.raises(MissingAssignmentError):
+            f.substitute({"x": x})
+        with pytest.raises(ValueError, match="at least one polynomial image"):
+            f.substitute({"x": 1, "y": 2})
+        with pytest.raises(DegreeError):
+            top.substitute({"x": xy, "y": y})
 
 
 class TestHomogenize:

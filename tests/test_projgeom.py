@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
+from conftest import make_random_homogeneous
 from torsal import _kernel, polyring, projgeom
 from torsal.errors import InexactDivisionError, SingularMatrixError
 from torsal.polyring import Polynomial, VarContext, det_over_ring, eliminate
@@ -21,6 +24,10 @@ from torsal.projgeom import (
 
 def random_fractions(rng, n):
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+
+
+def nonzero_fraction(rng, max_den):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, max_den))
 
 
 class TestProjPoint:
@@ -418,3 +425,28 @@ class TestCoordinateChange:
     def test_identity_change_is_identity(self, zctx):
         f = zctx.variable("z1") ** 2 - zctx.variable("z0") * zctx.variable("z4")
         assert change_polynomial_coordinates(f, FrameMatrix.identity()) == f
+
+    def test_seeded_rational_frames_match_the_value_at_a_point(self, zctx):
+        # g = f(M . v): g at a point v is f at the point M . v, computed here
+        # in Fractions from f's terms; every fourth f is a full quartic
+        quartic = [e for e in product(range(5), repeat=5) if sum(e) == 4]
+        assert len(quartic) == 70
+        rng = random.Random(1415)
+        for case in range(100):
+            while True:
+                rows = [[nonzero_fraction(rng, 4) for _ in range(5)] for _ in range(5)]
+                if rank(rows) == 5:
+                    break
+            if case % 4 == 0:
+                f = Polynomial(zctx, {e: nonzero_fraction(rng, 5) for e in quartic})
+            else:
+                f = make_random_homogeneous(rng, zctx, rng.randint(1, 4), max_terms=12)
+            point = random_fractions(rng, 5)
+            image = [sum(x * v for x, v in zip(row, point)) for row in rows]
+            want = sum(
+                c * prod(x ** e for x, e in zip(image, mono.exponents))
+                for mono, c in f.sorted_terms()
+            )
+            g = change_polynomial_coordinates(f, FrameMatrix(rows))
+            assert g.evaluate(point) == want
+            assert g.is_homogeneous() and g.total_degree() == f.total_degree()
