@@ -229,10 +229,10 @@ def _cmd_verify_parametrization(args) -> tuple:
 
 
 def _cmd_gauss_rank(args) -> tuple:
+    seed = _check_seed(args.seed)
     h = _catalog_surface(args.surface)
     pm = _parse_param_map(args.param_map, args.params)
     gi = ruled.gauss_map(h, pm)
-    seed = _check_seed(args.seed)
     rank = ruled.generic_rank(gi, seed=seed)
     payload = {
         "surface": args.surface,
@@ -508,9 +508,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main call; parse_args leaves no state behind in it, so
+# every later call reuses it
+_parser = None
+
+
 def main(argv=None) -> int:
+    """Run one CLI invocation and return its exit code.
+
+    In-process calls share one argparse tree, built on the first call;
+    importing this module builds none.
+    """
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit:  # -h printed the help text on stdout
         return _EXIT_OK
     except _UsageError as exc:  # --pretty is not read yet: the error is JSON

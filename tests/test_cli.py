@@ -190,6 +190,20 @@ class TestErrors:
         )
         assert payload["error"]["type"] == "usage"
 
+    def test_bad_seed_is_refused_before_any_algebra(self, capsys):
+        # the map is off the surface, so computing the Gauss map first
+        # would exit 1 with "not-contained"
+        payload = check(
+            capsys, "error",
+            [
+                "gauss-rank", "--surface", "bourgain",
+                "--param-map", "1,u,v,p*v,p", "--params", "p,u,v",
+                "--seed", "-1",
+            ],
+            2, error=True,
+        )
+        assert payload["error"]["type"] == "usage"
+
     def test_unknown_subcommand_exits_two(self, capsys):
         assert main(["no-such-command"]) == 2
         capsys.readouterr()

@@ -3,14 +3,16 @@
 The file holds the argv, exit code and exact stdout of 32 invocations
 across all nine subcommands (written by perfbench/make_expected.py); the
 benchmark's cli-session and cold-start workloads compare against the same
-bytes. This test only reads it.
+bytes. These tests only read it.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from torsal import cli
 from torsal.cli import main
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected_cli.json"
@@ -28,3 +30,45 @@ def test_stored_case_is_byte_identical(capsys, case_id):
     code = main(list(case["argv"]))
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], "")
+
+
+# argvs that fail inside argparse, or print its help: an unknown subcommand,
+# an unknown flag, both output flags, a --p value argparse takes for a flag,
+# and -h
+ARGPARSE_FAILURES = (
+    ["nosuch"],
+    ["catalog", "--bogus"],
+    ["catalog", "--json", "--pretty"],
+    ["focal", "--surface", "bourgain", "--p", "-1/2"],
+    ["-h"],
+)
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    def run(argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = {}
+    for argv in ARGPARSE_FAILURES:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh[tuple(argv)] = run(argv)
+
+    builds = []
+    build = cli._build_parser
+
+    def counted_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", counted_build)
+    order = sorted(CASES)
+    random.Random(7).shuffle(order)
+    for i, case_id in enumerate(order):
+        case = CASES[case_id]
+        assert run(case["argv"]) == (case["exit"], case["stdout"], ""), case_id
+        failing = ARGPARSE_FAILURES[i % len(ARGPARSE_FAILURES)]
+        assert run(failing) == fresh[tuple(failing)], failing
+    assert len(builds) <= 1
