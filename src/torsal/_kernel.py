@@ -5,6 +5,9 @@ coefficients stored as ``(numerator, denominator)`` int pairs:
 denominator positive, lowest terms, numerator nonzero (zero coefficients
 are never stored). Every polynomial operation in the package bottoms out
 in these loops, so they stay on bare ints instead of fractions.Fraction.
+Integer inputs, which every resultant, envelope and implicitization
+starts from, go further: products and exact quotients of them accumulate
+plain ints and build one pair per output term.
 
 A key packs an exponent vector (e0, ..., e_{n-1}) of total degree deg
 into one int, ``WIDTH`` bits per field with e0 most significant and the
@@ -23,7 +26,7 @@ its caller is building), so a result may share pairs, or be, an input.
 """
 
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from torsal.errors import InexactDivisionError
 
@@ -115,33 +118,72 @@ def terms_scale(a, num, den):
 
 
 def terms_mul(a, b):
-    """Distributive product of two term dicts over one variable context."""
+    """Distributive product of two term dicts over one variable context.
+
+    A one-term factor shifts the other's keys, which cannot collide, so
+    its product needs no accumulation. Otherwise integer operands, the
+    common case, accumulate plain ints, and the pairs are built once per
+    output term; any other denominator sends both to _mul_cleared.
+    """
     if len(a) > len(b):
         a, b = b, a
+    if len(a) <= 1:
+        if not a:
+            return {}
+        [(k1, (n1, d1))] = a.items()
+        if d1 == 1:
+            return {
+                k1 + k2: (n1 * n2, 1) if d2 == 1 else rat_mul(n1, 1, n2, d2)
+                for k2, (n2, d2) in b.items()
+            }
+        return {k1 + k2: rat_mul(n1, d1, n2, d2) for k2, (n2, d2) in b.items()}
     out = {}
     get = out.get
     for k1, (n1, d1) in a.items():
+        if d1 != 1:
+            return _mul_cleared(a, b)
+        if out:
+            for k2, (n2, _) in b.items():
+                key = k1 + k2
+                out[key] = get(key, 0) + n1 * n2
+            continue
+        # the first row cannot collide, and it checks b's denominators
         for k2, (n2, d2) in b.items():
+            if d2 != 1:
+                return _mul_cleared(a, b)
+            out[k1 + k2] = n1 * n2
+    # cancelled terms go in one pass
+    return {key: (n, 1) for key, n in out.items() if n}
+
+
+def _mul_cleared(a, b):
+    """terms_mul when a coefficient is not an integer.
+
+    Each operand is scaled by the lcm of its denominators, the integer
+    products accumulate as in terms_mul, and each output coefficient is
+    divided by the two lcms once.
+    """
+    da = db = 1
+    for _, d in a.values():
+        if da % d:
+            da = lcm(da, d)
+    for _, d in b.values():
+        if db % d:
+            db = lcm(db, d)
+    b = [(key, n * (db // d)) for key, (n, d) in b.items()]
+    out = {}
+    get = out.get
+    for k1, (n1, d1) in a.items():
+        n1 *= da // d1
+        for k2, n2 in b:
             key = k1 + k2
-            cur = get(key)
-            if d1 == 1 and d2 == 1:
-                if cur is None:
-                    out[key] = (n1 * n2, 1)
-                    continue
-                cn, cd = cur
-                if cd == 1:
-                    out[key] = (cn + n1 * n2, 1)
-                    continue
-                s = rat_add(cn, cd, n1 * n2, 1)
-            else:
-                n, d = rat_mul(n1, d1, n2, d2)
-                if cur is None:
-                    out[key] = (n, d)
-                    continue
-                s = rat_add(cur[0], cur[1], n, d)
-            out[key] = s
-    # sums are left unreduced above; cancelled terms go in one pass
-    return {key: pair for key, pair in out.items() if pair[0]}
+            out[key] = get(key, 0) + n1 * n2
+    den = da * db
+    return {
+        key: (n // g, den // g)
+        for key, n in out.items() if n
+        for g in (gcd(n, den),)
+    }
 
 
 def terms_pow(a, n):
@@ -199,23 +241,86 @@ def terms_exact_div(a, b):
     the first one that is not (some exponent field of its key minus the
     lead key borrows) means b does not divide a: InexactDivisionError,
     never a wrong quotient.
+
+    Integer inputs run on plain ints (_exact_div_ints) while every
+    quotient coefficient is an integer; the first one that is not sends
+    the division back to its start on rationals (_exact_div_rationals).
     """
     if not b:
         raise ZeroDivisionError("exact division by the zero polynomial")
     if not a:
         return {}
     lead = max(b)
-    ln, ld = b[lead]
-    rest = [(key, pair) for key, pair in b.items() if key != lead]
     # a field of key - lead borrows exactly when the subtraction carries a
     # borrow into the lowest bit of the field above it; remainder keys
     # never exceed max(a), so these bits cover every field boundary
     boundaries = 0
     for bit in range(WIDTH, max(a).bit_length(), WIDTH):
         boundaries |= 1 << bit
-    r = dict(a)
+    if _integral(a) and _integral(b):
+        q = _exact_div_ints(a, b, lead, boundaries)
+        if q is not None:
+            return q
+    return _exact_div_rationals(a, b, lead, boundaries)
+
+
+def _integral(terms):
+    for pair in terms.values():
+        if pair[1] != 1:
+            return False
+    return True
+
+
+def _no_multiple():
+    return InexactDivisionError(
+        "exact division leaves a remainder: a leading monomial of "
+        "the remainder is not a multiple of the divisor's"
+    )
+
+
+def _exact_div_ints(a, b, lead, boundaries):
+    """terms_exact_div on integer inputs, or None if q is not integral."""
+    ln = b[lead][0]
+    rest = [(key, n) for key, (n, _) in b.items() if key != lead]
+    r = {key: n for key, (n, _) in a.items()}
     get = r.get
     heap = [-key for key in r]  # max-heap of remainder keys, stale ones skipped
+    heapify(heap)
+    q = {}
+    while heap:
+        key = -heappop(heap)
+        n1 = r.pop(key, None)
+        if n1 is None:
+            continue
+        shift = key - lead
+        if shift < 0 or (key ^ lead ^ shift) & boundaries:
+            raise _no_multiple()
+        c, m = divmod(n1, ln)
+        if m:
+            return None
+        q[shift] = (c, 1)
+        for k2, n2 in rest:
+            k = shift + k2
+            cur = get(k)
+            if cur is None:
+                r[k] = -c * n2
+                heappush(heap, -k)
+                continue
+            s = cur - c * n2
+            if s:
+                r[k] = s
+            else:
+                del r[k]
+    return q
+
+
+def _exact_div_rationals(a, b, lead, boundaries):
+    """terms_exact_div on (numerator, denominator) pairs."""
+    ln, ld = b[lead]
+    rest = [(key, pair) for key, pair in b.items() if key != lead]
+    r = dict(a)
+    get = r.get
+    heap = [-key for key in r]
     heapify(heap)
     q = {}
     while heap:
@@ -225,17 +330,11 @@ def terms_exact_div(a, b):
             continue
         shift = key - lead
         if shift < 0 or (key ^ lead ^ shift) & boundaries:
-            raise InexactDivisionError(
-                "exact division leaves a remainder: a leading monomial of "
-                "the remainder is not a multiple of the divisor's"
-            )
+            raise _no_multiple()
         n1, d1 = pair
-        if d1 == 1 and ld == 1 and n1 % ln == 0:
-            cn, cd = n1 // ln, 1
-        else:
-            cn, cd = rat_mul(n1, d1, ld, ln)
-            if cd < 0:
-                cn, cd = -cn, -cd
+        cn, cd = rat_mul(n1, d1, ld, ln)
+        if cd < 0:
+            cn, cd = -cn, -cd
         q[shift] = (cn, cd)
         for k2, (n2, d2) in rest:
             k = shift + k2

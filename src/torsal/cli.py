@@ -32,7 +32,7 @@ import re
 import sys
 from fractions import Fraction
 
-from torsal import catalog, equivalence, ruled
+from torsal import __version__, catalog, equivalence, ruled
 from torsal.errors import (
     BaseLocusError,
     ContextMismatchError,
@@ -493,6 +493,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="torsal",
         description="exact construction and verification of ruled hypersurfaces",
     )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
@@ -524,7 +527,7 @@ def main(argv=None) -> int:
         _parser = _build_parser()
     try:
         args = _parser.parse_args(argv)
-    except SystemExit:  # -h printed the help text on stdout
+    except SystemExit:  # -h or --version printed its text on stdout
         return _EXIT_OK
     except _UsageError as exc:  # --pretty is not read yet: the error is JSON
         return _report(exc, False)

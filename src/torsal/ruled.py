@@ -15,6 +15,7 @@ every sample lands in a measure-zero set.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from torsal import catalog
@@ -286,6 +287,7 @@ def generator_map() -> ParamMap:
     return ParamMap(_generator(frame_rows(p, q), lam))
 
 
+@cache
 def focal_system() -> FocalSystem:
     """Derive the focal system of the line foliation symbolically.
 
@@ -297,6 +299,10 @@ def focal_system() -> FocalSystem:
     is B2 and that the transverse motion lives in span{B0, B3 + q*B4},
     and returns the 2x2 coefficient system of that motion. Entries end
     up in the (q, lam) ring; the determinant is -lam^2.
+
+    It takes no input, so it is derived once per process and every later
+    call returns the same system (``focal_system.cache_clear()`` forgets
+    it).
     """
     ctx = VarContext(["p", "q", "lam"])
     p, q, lam = ctx.variables()

@@ -10,6 +10,7 @@ import time
 import pytest
 from jsonschema import Draft202012Validator
 
+import torsal
 from test_expr import random_expression
 from torsal import cli, equivalence, errors
 from torsal.cli import main, schema_path
@@ -395,6 +396,15 @@ class TestArgparseErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         assert out.startswith("usage: torsal")
+
+    def test_version_prints_the_package_version_and_exits_zero(self, capsys):
+        assert run_cli(capsys, "--version") == (0, f"torsal {torsal.__version__}\n", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsal", "--version"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "torsal 0.1.0\n", "")
 
 
 class TestDeterminism:

@@ -32,15 +32,16 @@ def test_stored_case_is_byte_identical(capsys, case_id):
     assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], "")
 
 
-# argvs that fail inside argparse, or print its help: an unknown subcommand,
-# an unknown flag, both output flags, a --p value argparse takes for a flag,
-# and -h
+# argvs that fail inside argparse, or print its help or the version: an
+# unknown subcommand, an unknown flag, both output flags, a --p value
+# argparse takes for a flag, -h and --version
 ARGPARSE_FAILURES = (
     ["nosuch"],
     ["catalog", "--bogus"],
     ["catalog", "--json", "--pretty"],
     ["focal", "--surface", "bourgain", "--p", "-1/2"],
     ["-h"],
+    ["--version"],
 )
 
 

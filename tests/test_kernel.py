@@ -153,6 +153,48 @@ class TestAgainstFractionOracle:
             a, b = draw(), draw()
             assert unpack(ctx, impl.terms_mul(pack(ctx, a), pack(ctx, b))) == ref_mul(a, b)
 
+    def test_mul_on_every_path(self, impl):
+        # one-term factors on either side, integer operands, mixed
+        # denominators, and coefficients past 2^64 on each of them
+        rng = random.Random(28)
+        big = [1 << 64, 3 ** 50, (1 << 100) + 1]
+        for i in range(120):
+            nvars = rng.randint(1, 4)
+            ctx = context(nvars)
+            shape = i % 4
+            a = random_reference(rng, nvars, integer=i % 3 != 0)
+            b = random_reference(rng, nvars, integer=i % 5 != 0)
+            if shape == 0 and a:  # a one-term factor
+                a = dict([next(iter(a.items()))])
+            elif shape == 1 and b:
+                b = dict([next(iter(b.items()))])
+            elif shape == 2:  # huge coefficients
+                a = {e: c * rng.choice(big) for e, c in a.items()}
+                b = {e: c * rng.choice(big) / rng.choice(big) for e, c in b.items()}
+            ka, kb = pack(ctx, a), pack(ctx, b)
+            expected = ref_mul(a, b)
+            assert unpack(ctx, impl.terms_mul(ka, kb)) == expected
+            assert unpack(ctx, impl.terms_mul(kb, ka)) == expected
+            assert ka == pack(ctx, a) and kb == pack(ctx, b)
+
+    def test_mul_whose_sums_cancel(self, impl):
+        # Q[x, y] has no zero divisors, so only a zero factor gives {};
+        # cancelled sums inside a product must still leave no zero terms
+        ctx = context(2)
+        big = 1 << 70
+        for c in (Fraction(1), Fraction(-2, 3), Fraction(big), Fraction(3, big)):
+            # (x - c*y) * (x^2 + c*x*y + c^2*y^2) = x^3 - c^3*y^3: the four
+            # middle products cancel in pairs
+            lhs = pack(ctx, {(1, 0): Fraction(1), (0, 1): -c})
+            rhs = pack(ctx, {(2, 0): Fraction(1), (1, 1): c, (0, 2): c * c})
+            expected = {(3, 0): Fraction(1), (0, 3): -(c ** 3)}
+            assert unpack(ctx, impl.terms_mul(lhs, rhs)) == expected
+            assert unpack(ctx, impl.terms_mul(rhs, lhs)) == expected
+            for factor in (lhs, rhs, pack(ctx, {(1, 1): c})):
+                assert impl.terms_mul(factor, {}) == {}
+                assert impl.terms_mul({}, factor) == {}
+        assert impl.terms_mul({}, {}) == {}
+
     def test_eval(self, impl):
         for rng, ctx, nvars, draw in cases(22, 80):
             a = draw()
@@ -194,6 +236,67 @@ class TestAgainstFractionOracle:
             assert unpack(ctx, impl.terms_exact_div(product, kb)) == a
             # the inputs are left as they were
             assert product == pack(ctx, ref_mul(a, b)) and kb == pack(ctx, b)
+
+    def test_exact_div_on_every_path(self, impl):
+        # integer inputs with an integer quotient, integer inputs whose
+        # quotient is not integral (the product of a/m and m*b), mixed
+        # denominators, and coefficients past 2^64
+        rng = random.Random(29)
+        for i in range(120):
+            nvars = rng.randint(1, 4)
+            ctx = context(nvars)
+            a = random_reference(rng, nvars, max_terms=6, max_exp=3, integer=i % 3 != 2)
+            b = random_reference(rng, nvars, max_terms=5, max_exp=3, integer=i % 3 != 2)
+            if not b:
+                continue
+            if i % 3 == 1:
+                m = rng.choice([2, 3, 6, 1 << 64])
+                a = {e: c / m for e, c in a.items()}
+                b = {e: c * m for e, c in b.items()}
+            if i % 4 == 0:
+                scale = rng.choice([1 << 64, 5 ** 40])
+                a = {e: c * scale for e, c in a.items()}
+            product = pack(ctx, ref_mul(a, b))
+            assert unpack(ctx, impl.terms_exact_div(product, pack(ctx, b))) == a
+
+    def test_exact_div_of_integers_with_a_rational_quotient(self, impl, monkeypatch):
+        # (2x^2 + 3x + 1) / (2x + 2) = x + 1/2: the quotient's first
+        # coefficient is an integer, its second is not, so the division
+        # starts on ints and finishes on rationals
+        ctx = context(1)
+        rational_runs = []
+        rationals = impl._exact_div_rationals
+
+        def counted(*args):
+            rational_runs.append(None)
+            return rationals(*args)
+
+        monkeypatch.setattr(impl, "_exact_div_rationals", counted)
+        a = pack(ctx, {(2,): Fraction(2), (1,): Fraction(3), (0,): Fraction(1)})
+        b = pack(ctx, {(1,): Fraction(2), (0,): Fraction(2)})
+        got = impl.terms_exact_div(a, b)
+        assert unpack(ctx, got) == {(1,): Fraction(1), (0,): Fraction(1, 2)}
+        assert len(rational_runs) == 1
+        # an integer quotient never leaves the ints: (x + 1) * (2x + 2)
+        a = pack(ctx, {(2,): Fraction(2), (1,): Fraction(4), (0,): Fraction(2)})
+        assert unpack(ctx, impl.terms_exact_div(a, b)) == {(1,): 1, (0,): 1}
+        assert len(rational_runs) == 1
+        # (2x^2 + 3x + 2) / (2x + 2) leaves the remainder 1 after x + 1/2,
+        # found only on the rational pass
+        a = pack(ctx, {(2,): Fraction(2), (1,): Fraction(3), (0,): Fraction(2)})
+        with pytest.raises(InexactDivisionError):
+            impl.terms_exact_div(a, b)
+        assert len(rational_runs) == 2
+        # (x^2 + 1) / (x + 1) and (2^70*x^2 + 1) / (x + 1) leave a
+        # remainder on the ints alone, (x^2/2 + 1) / (x + 1) on mixed
+        # denominators
+        b = pack(ctx, {(1,): Fraction(1), (0,): Fraction(1)})
+        for a in ({(2,): Fraction(1), (0,): Fraction(1)},
+                  {(2,): Fraction(1, 2), (0,): Fraction(1)},
+                  {(2,): Fraction(1 << 70), (0,): Fraction(1)}):
+            with pytest.raises(InexactDivisionError):
+                impl.terms_exact_div(pack(ctx, a), b)
+        assert len(rational_runs) == 3
 
     def test_exact_div_by_a_constant_and_of_zero(self, impl):
         for rng, ctx, nvars, draw in cases(27, 40):

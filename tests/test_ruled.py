@@ -217,7 +217,32 @@ class TestTangency:
             assert z2 ** 2 + 4 * z1 * z3 == 0
 
 
+@pytest.fixture
+def uncached_focal_system():
+    """focal_system() derived afresh inside the test, so a patched
+    frame_rows is read; the memo is cleared again afterwards, so neither a
+    patched result nor a refusal outlives the test."""
+    focal_system.cache_clear()
+    yield
+    focal_system.cache_clear()
+
+
 class TestFocal:
+    def test_derived_once_per_process(self, uncached_focal_system, monkeypatch):
+        rows = []
+
+        def counted_rows(p, q):
+            rows.append(None)
+            return projgeom.frame_rows(p, q)
+
+        monkeypatch.setattr(ruled, "frame_rows", counted_rows)
+        first = focal_system()
+        assert focal_system() is first and len(rows) == 1
+        assert focal_points_on_generator(
+            catalog.hypersurface("bourgain"), 1, 2
+        ).system is first
+        assert len(rows) == 1
+
     def test_matrix_and_determinant(self):
         system = focal_system()
         ctx = system.determinant.context
@@ -250,7 +275,9 @@ class TestFocal:
         lam = system.determinant.context.variable("lam")
         assert system.determinant == -(lam ** 2)
 
-    def test_frame_determinant_other_than_one_is_refused(self, monkeypatch):
+    def test_frame_determinant_other_than_one_is_refused(
+        self, uncached_focal_system, monkeypatch
+    ):
         def doubled_first_row(p, q):
             rows = projgeom.frame_rows(p, q)
             return (tuple(2 * x for x in rows[0]),) + rows[1:]
@@ -287,7 +314,9 @@ class TestFocal:
             # the transverse motion is along B3 + q*B4
             assert by_p[4] == q * by_p[3] and by_q[4] == q * by_q[3]
 
-    def test_frame_of_determinant_minus_one_is_refused(self, monkeypatch):
+    def test_frame_of_determinant_minus_one_is_refused(
+        self, uncached_focal_system, monkeypatch
+    ):
         def swapped_last_rows(p, q):
             b0, b1, b2, b3, b4 = projgeom.frame_rows(p, q)
             return (b0, b1, b2, b4, b3)
@@ -297,7 +326,7 @@ class TestFocal:
             focal_system()
 
     def test_row_swaps_of_the_elimination_keep_the_coordinates_signed(
-        self, monkeypatch
+        self, uncached_focal_system, monkeypatch
     ):
         # (B0, B1, B2, B4, -B3) still has determinant 1, but its
         # elimination swaps rows; Z's partials then pass the determinant
