@@ -5,9 +5,11 @@ coefficients stored as ``(numerator, denominator)`` int pairs:
 denominator positive, lowest terms, numerator nonzero (zero coefficients
 are never stored). Every polynomial operation in the package bottoms out
 in these loops, so they stay on bare ints instead of fractions.Fraction.
-Integer inputs, which every resultant, envelope and implicitization
-starts from, go further: products and exact quotients of them accumulate
-plain ints and build one pair per output term.
+Products of integer inputs, which every resultant, envelope and
+implicitization starts from, accumulate plain ints and build one pair per
+output term. Every other product, exact quotient and scaling clears its
+operands to ints (_cleared), runs on ints and divides by one denominator
+at the end (_pairs).
 
 A key packs an exponent vector (e0, ..., e_{n-1}) of total degree deg
 into one int, ``WIDTH`` bits per field with e0 most significant and the
@@ -114,7 +116,8 @@ def terms_scale(a, num, den):
     num, den = rat_norm(num, den)
     if num == 0:
         return {}
-    return {key: rat_mul(n, d, num, den) for key, (n, d) in a.items()}
+    ints, da = _cleared(a)
+    return _pairs(ints, num, den * da)
 
 
 def terms_mul(a, b):
@@ -159,30 +162,46 @@ def terms_mul(a, b):
 def _mul_cleared(a, b):
     """terms_mul when a coefficient is not an integer.
 
-    Each operand is scaled by the lcm of its denominators, the integer
-    products accumulate as in terms_mul, and each output coefficient is
-    divided by the two lcms once.
+    Both operands are cleared to integers, whose products accumulate as
+    in terms_mul; each output coefficient is divided by the two
+    denominators once.
     """
-    da = db = 1
-    for _, d in a.values():
-        if da % d:
-            da = lcm(da, d)
-    for _, d in b.values():
-        if db % d:
-            db = lcm(db, d)
-    b = [(key, n * (db // d)) for key, (n, d) in b.items()]
+    a, da = _cleared(a)
+    b, db = _cleared(b)
+    b = list(b.items())
     out = {}
     get = out.get
-    for k1, (n1, d1) in a.items():
-        n1 *= da // d1
+    for k1, n1 in a.items():
         for k2, n2 in b:
             key = k1 + k2
             out[key] = get(key, 0) + n1 * n2
-    den = da * db
+    return _pairs(out, 1, da * db)
+
+
+def _cleared(terms):
+    """(ints, den): den the lcm of the denominators, ints {key: c * den}."""
+    den = 1
+    for _, d in terms.values():
+        if den % d:
+            den = lcm(den, d)
+    if den == 1:
+        return {key: n for key, (n, _) in terms.items()}, den
+    return {key: n * (den // d) for key, (n, d) in terms.items()}, den
+
+
+def _pairs(ints, num, den):
+    """The term dict of num/den times each nonzero int, for den > 0."""
+    g = gcd(num, den)
+    if g > 1:
+        num //= g
+        den //= g
+    if den == 1:
+        return {key: (n * num, 1) for key, n in ints.items() if n}
     return {
-        key: (n // g, den // g)
-        for key, n in out.items() if n
-        for g in (gcd(n, den),)
+        key: (m // g, den // g)
+        for key, n in ints.items() if n
+        for m in (n * num,)
+        for g in (gcd(m, den),)
     }
 
 
@@ -242,9 +261,13 @@ def terms_exact_div(a, b):
     lead key borrows) means b does not divide a: InexactDivisionError,
     never a wrong quotient.
 
-    Integer inputs run on plain ints (_exact_div_ints) while every
-    quotient coefficient is an integer; the first one that is not sends
-    the division back to its start on rationals (_exact_div_rationals).
+    The division runs on ints. Both operands are cleared to integers,
+    a = A/da and b = B/db, and A is divided by B. If a quotient
+    coefficient is not an integer, B is divided by its content cb and A
+    by the primitive B0 = B/cb once more. By Gauss's lemma a primitive
+    divisor of an integer polynomial leaves an integer quotient, so a
+    coefficient that is not an integer on that pass means b does not
+    divide a. Otherwise q = db/(da*cb) * A/B0.
     """
     if not b:
         raise ZeroDivisionError("exact division by the zero polynomial")
@@ -257,18 +280,18 @@ def terms_exact_div(a, b):
     boundaries = 0
     for bit in range(WIDTH, max(a).bit_length(), WIDTH):
         boundaries |= 1 << bit
-    if _integral(a) and _integral(b):
-        q = _exact_div_ints(a, b, lead, boundaries)
-        if q is not None:
-            return q
-    return _exact_div_rationals(a, b, lead, boundaries)
-
-
-def _integral(terms):
-    for pair in terms.values():
-        if pair[1] != 1:
-            return False
-    return True
+    a, da = _cleared(a)
+    b, db = _cleared(b)
+    q = _exact_div_ints(a, b, lead, boundaries)
+    cb = 1
+    if q is None:
+        cb = gcd(*b.values())
+        if cb > 1:
+            b = {key: n // cb for key, n in b.items()}
+            q = _exact_div_ints(a, b, lead, boundaries)
+        if q is None:
+            raise _no_multiple()
+    return _pairs(q, db, da * cb)
 
 
 def _no_multiple():
@@ -279,10 +302,10 @@ def _no_multiple():
 
 
 def _exact_div_ints(a, b, lead, boundaries):
-    """terms_exact_div on integer inputs, or None if q is not integral."""
-    ln = b[lead][0]
-    rest = [(key, n) for key, (n, _) in b.items() if key != lead]
-    r = {key: n for key, (n, _) in a.items()}
+    """The int dict A/B for int dicts A and B, or None if it is not integral."""
+    ln = b[lead]
+    rest = [(key, n) for key, n in b.items() if key != lead]
+    r = dict(a)
     get = r.get
     heap = [-key for key in r]  # max-heap of remainder keys, stale ones skipped
     heapify(heap)
@@ -298,7 +321,7 @@ def _exact_div_ints(a, b, lead, boundaries):
         c, m = divmod(n1, ln)
         if m:
             return None
-        q[shift] = (c, 1)
+        q[shift] = c
         for k2, n2 in rest:
             k = shift + k2
             cur = get(k)
@@ -308,50 +331,6 @@ def _exact_div_ints(a, b, lead, boundaries):
                 continue
             s = cur - c * n2
             if s:
-                r[k] = s
-            else:
-                del r[k]
-    return q
-
-
-def _exact_div_rationals(a, b, lead, boundaries):
-    """terms_exact_div on (numerator, denominator) pairs."""
-    ln, ld = b[lead]
-    rest = [(key, pair) for key, pair in b.items() if key != lead]
-    r = dict(a)
-    get = r.get
-    heap = [-key for key in r]
-    heapify(heap)
-    q = {}
-    while heap:
-        key = -heappop(heap)
-        pair = r.pop(key, None)
-        if pair is None:
-            continue
-        shift = key - lead
-        if shift < 0 or (key ^ lead ^ shift) & boundaries:
-            raise _no_multiple()
-        n1, d1 = pair
-        cn, cd = rat_mul(n1, d1, ld, ln)
-        if cd < 0:
-            cn, cd = -cn, -cd
-        q[shift] = (cn, cd)
-        for k2, (n2, d2) in rest:
-            k = shift + k2
-            cur = get(k)
-            if cd == 1 and d2 == 1:
-                pn, pd = cn * n2, 1
-            else:
-                pn, pd = rat_mul(cn, cd, n2, d2)
-            if cur is None:
-                r[k] = (-pn, pd)
-                heappush(heap, -k)
-                continue
-            if cur[1] == 1 and pd == 1:
-                s = (cur[0] - pn, 1)
-            else:
-                s = rat_add(cur[0], cur[1], -pn, pd)
-            if s[0]:
                 r[k] = s
             else:
                 del r[k]

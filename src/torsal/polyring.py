@@ -21,7 +21,11 @@ Exact division: ``f.exact_div(g)`` is the q with q*g = f. The kernel
 divides by g's leading term, taking the remainder's grlex-largest
 monomial each step, and raises InexactDivisionError as soon as that
 monomial is not a multiple of g's leading one, which happens exactly when
-g does not divide f; a wrong quotient is never returned.
+g does not divide f; a wrong quotient is never returned. The division
+runs on integers: f and g are cleared of denominators, and if a quotient
+coefficient is not an integer, g is divided by its content and the
+division runs once more. By Gauss's lemma the quotient by a primitive
+divisor is integral, so a fraction on that pass means g does not divide f.
 
 Resultants: ``sylvester_resultant`` never builds the Sylvester matrix. It
 runs the subresultant polynomial remainder sequence in the eliminated

@@ -7,6 +7,7 @@ checks that packing is exact.
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
 import pytest
@@ -78,6 +79,19 @@ def ref_eval(a, vals):
     return total
 
 
+def count_passes(monkeypatch):
+    """A list that gains one entry per run of the exact-division loop."""
+    passes = []
+    loop = K._exact_div_ints
+
+    def counted(*args):
+        passes.append(None)
+        return loop(*args)
+
+    monkeypatch.setattr(K, "_exact_div_ints", counted)
+    return passes
+
+
 def cases(seed, count, **kwargs):
     """Random (context, reference) pairs, rational and integer alike."""
     rng = random.Random(seed)
@@ -127,6 +141,7 @@ class TestAgainstFractionOracle:
     """Each kernel entry point against the Fraction-dict reference."""
 
     def test_add_neg_scale(self, impl):
+        scalars = random.Random(30)
         for rng, ctx, _, draw in cases(20, 80):
             a, b = draw(), draw()
             ka, kb = pack(ctx, a), pack(ctx, b)
@@ -136,6 +151,14 @@ class TestAgainstFractionOracle:
             num, den = rng.randint(-6, 6), rng.randint(1, 6)
             scaled = {e: c * Fraction(num, den) for e, c in a.items() if num}
             assert unpack(ctx, impl.terms_scale(ka, num, den)) == scaled
+            # integer scalars, past 2^64 too, on integer and rational dicts,
+            # and a negative denominator
+            num = scalars.choice([-1, 1]) * scalars.choice([1, 3, 12, 1 << 64, 7 ** 30])
+            scaled = {e: c * num for e, c in a.items()}
+            assert unpack(ctx, impl.terms_scale(ka, num, 1)) == scaled
+            assert unpack(ctx, impl.terms_scale(ka, num, -6)) == {
+                e: c * Fraction(num, -6) for e, c in a.items()
+            }
             # the inputs are left as they were
             assert ka == pack(ctx, a) and kb == pack(ctx, b)
 
@@ -260,43 +283,40 @@ class TestAgainstFractionOracle:
             assert unpack(ctx, impl.terms_exact_div(product, pack(ctx, b))) == a
 
     def test_exact_div_of_integers_with_a_rational_quotient(self, impl, monkeypatch):
-        # (2x^2 + 3x + 1) / (2x + 2) = x + 1/2: the quotient's first
-        # coefficient is an integer, its second is not, so the division
-        # starts on ints and finishes on rationals
+        # each division runs the int loop once, and once more on b divided
+        # by its content when a quotient coefficient is not an integer
         ctx = context(1)
-        rational_runs = []
-        rationals = impl._exact_div_rationals
-
-        def counted(*args):
-            rational_runs.append(None)
-            return rationals(*args)
-
-        monkeypatch.setattr(impl, "_exact_div_rationals", counted)
+        passes = count_passes(monkeypatch)
+        # (2x^2 + 3x + 1) / (2x + 2) = x + 1/2: the second coefficient is
+        # not an integer, so the division runs again by x + 1
         a = pack(ctx, {(2,): Fraction(2), (1,): Fraction(3), (0,): Fraction(1)})
         b = pack(ctx, {(1,): Fraction(2), (0,): Fraction(2)})
         got = impl.terms_exact_div(a, b)
         assert unpack(ctx, got) == {(1,): Fraction(1), (0,): Fraction(1, 2)}
-        assert len(rational_runs) == 1
-        # an integer quotient never leaves the ints: (x + 1) * (2x + 2)
+        assert len(passes) == 2
+        # an integer quotient takes one pass: (x + 1) * (2x + 2)
+        passes.clear()
         a = pack(ctx, {(2,): Fraction(2), (1,): Fraction(4), (0,): Fraction(2)})
         assert unpack(ctx, impl.terms_exact_div(a, b)) == {(1,): 1, (0,): 1}
-        assert len(rational_runs) == 1
+        assert len(passes) == 1
         # (2x^2 + 3x + 2) / (2x + 2) leaves the remainder 1 after x + 1/2,
-        # found only on the rational pass
+        # found only on the pass by x + 1
+        passes.clear()
         a = pack(ctx, {(2,): Fraction(2), (1,): Fraction(3), (0,): Fraction(2)})
         with pytest.raises(InexactDivisionError):
             impl.terms_exact_div(a, b)
-        assert len(rational_runs) == 2
+        assert len(passes) == 2
         # (x^2 + 1) / (x + 1) and (2^70*x^2 + 1) / (x + 1) leave a
-        # remainder on the ints alone, (x^2/2 + 1) / (x + 1) on mixed
+        # remainder on the first pass, (x^2/2 + 1) / (x + 1) on mixed
         # denominators
+        passes.clear()
         b = pack(ctx, {(1,): Fraction(1), (0,): Fraction(1)})
         for a in ({(2,): Fraction(1), (0,): Fraction(1)},
                   {(2,): Fraction(1, 2), (0,): Fraction(1)},
                   {(2,): Fraction(1 << 70), (0,): Fraction(1)}):
             with pytest.raises(InexactDivisionError):
                 impl.terms_exact_div(pack(ctx, a), b)
-        assert len(rational_runs) == 3
+        assert len(passes) == 3
 
     def test_exact_div_by_a_constant_and_of_zero(self, impl):
         for rng, ctx, nvars, draw in cases(27, 40):
@@ -339,6 +359,129 @@ def test_exact_div_refuses_what_does_not_divide():
     assert div({(1, LIMIT // 2, 0): Fraction(6)}, {x: Fraction(4)}) == pack(
         ctx, {(0, LIMIT // 2, 0): Fraction(3, 2)}
     )
+
+
+def rational_exact_div(a, b):
+    """The heap division on (numerator, denominator) pairs that the int
+    loop replaced, kept as the oracle of TestExactDivDifferential."""
+    if not b:
+        raise ZeroDivisionError("exact division by the zero polynomial")
+    if not a:
+        return {}
+    lead = max(b)
+    boundaries = 0
+    for bit in range(K.WIDTH, max(a).bit_length(), K.WIDTH):
+        boundaries |= 1 << bit
+    ln, ld = b[lead]
+    rest = [(key, pair) for key, pair in b.items() if key != lead]
+    r = dict(a)
+    get = r.get
+    heap = [-key for key in r]
+    heapify(heap)
+    q = {}
+    while heap:
+        key = -heappop(heap)
+        pair = r.pop(key, None)
+        if pair is None:
+            continue
+        shift = key - lead
+        if shift < 0 or (key ^ lead ^ shift) & boundaries:
+            raise InexactDivisionError("not a multiple")
+        n1, d1 = pair
+        cn, cd = K.rat_mul(n1, d1, ld, ln)
+        if cd < 0:
+            cn, cd = -cn, -cd
+        q[shift] = (cn, cd)
+        for k2, (n2, d2) in rest:
+            k = shift + k2
+            cur = get(k)
+            if cd == 1 and d2 == 1:
+                pn, pd = cn * n2, 1
+            else:
+                pn, pd = K.rat_mul(cn, cd, n2, d2)
+            if cur is None:
+                r[k] = (-pn, pd)
+                heappush(heap, -k)
+                continue
+            if cur[1] == 1 and pd == 1:
+                s = (cur[0] - pn, 1)
+            else:
+                s = K.rat_add(cur[0], cur[1], -pn, pd)
+            if s[0]:
+                r[k] = s
+            else:
+                del r[k]
+    return q
+
+
+class TestExactDivDifferential:
+    """terms_exact_div against the rational heap division it replaced."""
+
+    SHAPES = ("integral", "non-primitive", "rational", "negative lead",
+              "monomial", "huge")
+
+    def draw(self, rng, shape):
+        """(nvars, q, b) in reference form, b nonzero and not constant."""
+        nvars = rng.randint(1, 4)
+        while True:
+            integer = shape in ("integral", "non-primitive") or (
+                shape in ("negative lead", "huge") and rng.random() < 0.5
+            )
+            q = random_reference(rng, nvars, max_terms=6, max_exp=3, integer=integer)
+            b = random_reference(rng, nvars, max_terms=1 if shape == "monomial" else 5,
+                                 max_exp=3, integer=integer)
+            if q and b and max(map(sum, b)) > 0:
+                break
+        if shape == "non-primitive":
+            # b gets the content m and q the denominator m: the product is
+            # integral, the quotient is not unless m divides all of q
+            m = rng.choice([2, 3, 6, 35, 1 << 64])
+            q = {e: c / m for e, c in q.items()}
+            b = {e: c * m for e, c in b.items()}
+        elif shape == "negative lead":
+            top = max(b, key=lambda e: (sum(e), e))
+            if b[top] > 0:
+                b = {e: -c for e, c in b.items()}
+        elif shape == "huge":
+            big = [1 << 64, 3 ** 50, (1 << 100) + 1, 5 ** 40]
+            q = {e: c * rng.choice(big) for e, c in q.items()}
+            b = {e: c * rng.choice(big) / rng.choice(big) for e, c in b.items()}
+        return nvars, q, b
+
+    def test_seeded_pairs_match_the_rational_division(self, monkeypatch):
+        passes = count_passes(monkeypatch)
+        rng = random.Random(1717)
+        raised, pass_counts = 0, {1: 0, 2: 0}
+        for case in range(840):
+            shape = self.SHAPES[case % len(self.SHAPES)]
+            nvars, q, b = self.draw(rng, shape)
+            ctx = context(nvars)
+            a = ref_mul(q, b)
+            inexact = case % 2 == 1
+            if inexact:
+                # a remainder of lower degree than b, which b cannot divide
+                deg = max(map(sum, b))
+                low = {e: c for e, c in random_reference(rng, nvars, max_exp=3).items()
+                       if sum(e) < deg}
+                low = low or {(0,) * nvars: Fraction(rng.choice([-1, 1]), rng.randint(1, 4))}
+                a = ref_add(a, low)
+            ka, kb = pack(ctx, a), pack(ctx, b)
+            passes.clear()
+            if inexact:
+                with pytest.raises(InexactDivisionError):
+                    rational_exact_div(ka, kb)
+                with pytest.raises(InexactDivisionError):
+                    K.terms_exact_div(ka, kb)
+                raised += 1
+            else:
+                got = K.terms_exact_div(ka, kb)
+                assert got == rational_exact_div(ka, kb), (shape, a, b)
+                assert unpack(ctx, got) == q
+            pass_counts[len(passes)] += 1
+            # the inputs are left as they were
+            assert ka == pack(ctx, a) and kb == pack(ctx, b)
+        assert raised == 420
+        assert min(pass_counts.values()) > 100, pass_counts
 
 
 def test_cancellation_drops_terms():
