@@ -9,7 +9,6 @@ reports serialize deterministically, so reruns are byte-identical.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from torsal import catalog
@@ -176,9 +175,6 @@ class EquivalenceReport(Record):
             out["z3_sign_flipped"] = self.z3_sign_flipped
         out["notes"] = list(self.notes)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2)
 
 
 def _data_jsonable(data):

@@ -54,7 +54,7 @@ from itertools import islice
 from torsal._kernel import DEGREE_LIMIT, add_into
 from torsal._record import Record
 from torsal.errors import ExprSyntaxError
-from torsal.polyring import Polynomial, VarContext, signed_sum
+from torsal.polyring import Polynomial, VarContext
 
 MAX_NESTING = 100
 
@@ -405,9 +405,10 @@ def to_polynomial(node: Node, context: VarContext) -> Polynomial:
     UnknownVariableError for identifiers outside the context.
     """
     if isinstance(node, Sum):
-        return signed_sum(
-            context, [(sign, to_polynomial(n, context)) for sign, n in node.terms]
-        )
+        out = {}
+        for sign, n in node.terms:
+            add_into(out, to_polynomial(n, context)._terms, sign)
+        return Polynomial._make(context, out)
     if isinstance(node, Product):
         # numbers, variables and their powers fold into one term; the
         # other factors are multiplied in (left to right, as written)

@@ -86,10 +86,6 @@ class ParamMap:
     def context(self) -> VarContext:
         return self.components[0].context
 
-    def evaluate(self, point) -> tuple:
-        """All five components at one rational parameter point."""
-        return tuple(c.evaluate(point) for c in self.components)
-
     def __eq__(self, other):
         if not isinstance(other, ParamMap):
             return NotImplemented

@@ -59,6 +59,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd
 
 from torsal import _kernel as K
 from torsal._record import Record
@@ -602,6 +603,10 @@ class Polynomial:
     def dehomogenize(self, var: str) -> "Polynomial":
         """Set `var` to 1 and drop it from the context."""
         i = self.context.index(var)
+        if len(self.context) == 1:
+            raise ValueError(
+                f"cannot dehomogenize by {var!r}: it is the context's only variable"
+            )
         names = self.context.names[:i] + self.context.names[i + 1:]
         ctx = VarContext(names)
         s = self.context._shifts[i]
@@ -626,23 +631,6 @@ class Polynomial:
             )
         # the key layout depends on the number of variables only
         return Polynomial._make(ctx, self._terms)
-
-
-def signed_sum(context: VarContext, summands) -> Polynomial:
-    """Sum of ``(sign, polynomial)`` pairs (sign +1 or -1) in `context`.
-
-    All summands accumulate into one term dict, so the cost is linear in
-    the total number of terms.
-    """
-    out = {}
-    for sign, f in summands:
-        if f.context != context:
-            raise ContextMismatchError(
-                f"context ({', '.join(context.names)}) vs "
-                f"({', '.join(f.context.names)})"
-            )
-        K.add_into(out, f._terms, sign)
-    return Polynomial._make(context, out)
 
 
 def _exact_quotient(x, d):
@@ -826,17 +814,8 @@ def content(f: Polynomial) -> Fraction:
     """Positive rational content: gcd of numerators over lcm of denominators."""
     if f.is_zero():
         return Fraction(0)
-    from math import gcd, lcm
-
-    nums = [abs(n) for (n, _) in f._terms.values()]
-    dens = [d for (_, d) in f._terms.values()]
-    g = 0
-    for x in nums:
-        g = gcd(g, x)
-    l = 1
-    for x in dens:
-        l = lcm(l, x)
-    return Fraction(g, l)
+    ints, den = K._cleared(f._terms)
+    return Fraction(gcd(*ints.values()), den)
 
 
 def primitive_part(f: Polynomial) -> Polynomial:

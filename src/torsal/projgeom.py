@@ -1,9 +1,13 @@
 """Projective points in P^4, exact 5x5 frames, fraction-free rank.
 
-Everything here is plain rational linear algebra: points up to scalar,
-invertible frame matrices whose rows express new-frame points in
-old-frame coordinates, pullback of polynomials along such a change of
-coordinates, and exact rank of arbitrary rational matrices.
+Points up to scalar (ProjPoint); invertible rational frame matrices
+whose rows express new-frame points in old-frame coordinates
+(FrameMatrix, with its exact inverse); the cubic's moving frame B0..B4
+over any ring (frame_rows); pullback of polynomials along a change of
+coordinates; the adjugate over any ring; and the exact rank of a
+rational matrix. Inverse, adjugate and rank all come from polyring's
+one fraction-free elimination, as does a frame's determinant,
+``polyring.det_over_ring(m.rows)``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from torsal.errors import ContextMismatchError, SingularMatrixError
-from torsal.polyring import Polynomial, det_over_ring, eliminate
+from torsal.polyring import Polynomial, eliminate
 
 
 def _frac(x) -> Fraction:
@@ -41,12 +45,6 @@ class ProjPoint:
         pivot = next(c for c in self.coords if c)
         return ProjPoint(tuple(c / pivot for c in self.coords))
 
-    def scaled(self, c) -> "ProjPoint":
-        c = _frac(c)
-        if not c:
-            raise ValueError("scaling a point by zero")
-        return ProjPoint(tuple(x * c for x in self.coords))
-
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
@@ -73,30 +71,6 @@ class FrameMatrix:
         # denominators and eliminates ints, cheaper than det over Fraction
         if rank(rows) != 5:
             raise SingularMatrixError("frame matrix has determinant 0")
-
-    @classmethod
-    def identity(cls) -> "FrameMatrix":
-        return cls(
-            [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
-        )
-
-    def det(self) -> Fraction:
-        return det_over_ring(self.rows)
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
-    def __matmul__(self, other):
-        if not isinstance(other, FrameMatrix):
-            return NotImplemented
-        prod = [
-            [
-                sum(self.rows[i][k] * other.rows[k][j] for k in range(5))
-                for j in range(5)
-            ]
-            for i in range(5)
-        ]
-        return FrameMatrix(prod)
 
     def invert(self) -> "FrameMatrix":
         """Exact inverse: the adjugate divided by the determinant, both

@@ -212,13 +212,6 @@ def envelope(lf: LineFamily) -> Polynomial:
     )
 
 
-def conic_tangency_point(p) -> ProjPoint:
-    """Where the moving line touches its envelope: frame row B1 at p, an
-    int or Fraction (TypeError otherwise)."""
-    p = _frac(p)
-    return ProjPoint(frame_rows(p, p * 0)[1])
-
-
 def conic_tangency_map() -> ParamMap:
     """The tangency point, frame row B1, as a ParamMap in p."""
     p = VarContext(["p"]).variable("p")

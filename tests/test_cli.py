@@ -3,9 +3,11 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -405,6 +407,13 @@ class TestArgparseErrors:
             text=True,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "torsal 0.1.0\n", "")
+
+    def test_package_version_is_the_pyproject_version(self):
+        # a regex, not tomllib: Python 3.10 has no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+        version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1)
+        assert torsal.__version__ == version
 
 
 class TestDeterminism:

@@ -399,6 +399,11 @@ class TestHomogenize:
         w, x = ctx.variables()
         assert (w * x + x).dehomogenize("w") == VarContext(["x"]).variable("x") * 2
 
+    def test_dehomogenize_by_the_only_variable_names_it(self):
+        x = VarContext(["x"]).variable("x")
+        with pytest.raises(ValueError, match="by 'x': it is the context's only variable"):
+            (x ** 2 + 1).dehomogenize("x")
+
     def test_rename(self):
         ctx = VarContext(["x", "y"])
         f = ctx.variable("x") + 2 * ctx.variable("y")
@@ -716,6 +721,24 @@ def make_nonconstant(rng, ctx):
     return f
 
 
+def loop_content(f):
+    """The gcd/lcm loops content ran before it cleared denominators with
+    the kernel's _cleared; kept as the oracle."""
+    from math import gcd, lcm
+
+    if f.is_zero():
+        return Fraction(0)
+    nums = [abs(n) for (n, _) in f._terms.values()]
+    dens = [d for (_, d) in f._terms.values()]
+    g = 0
+    for x in nums:
+        g = gcd(g, x)
+    l = 1
+    for x in dens:
+        l = lcm(l, x)
+    return Fraction(g, l)
+
+
 class TestContentAndScalars:
     def test_content_and_primitive_part(self):
         ctx = VarContext(["x"])
@@ -724,6 +747,31 @@ class TestContentAndScalars:
         assert content(f) == Fraction(2, 9)
         assert primitive_part(f) == 3 * x + 2
         assert content(f) * primitive_part(f) == f
+
+    def test_content_matches_the_gcd_lcm_loops(self):
+        # 5,000 seeded polynomials: integer and rational coefficients, a
+        # shared factor so the content is not 1, numerators past 2^64
+        rng = random.Random(719)
+        ctx = VarContext(["x", "y", "z"])
+        shapes = {"ints": 0, "rationals": 0, "zero": 0}
+        for _ in range(5000):
+            bits = rng.choice((4, 12, 80))
+            max_den = rng.choice((1, 1, 9, 2 ** 40))
+            factor = Fraction(rng.randint(1, 2 ** bits), rng.randint(1, max_den))
+            terms = {}
+            for _ in range(rng.randint(0, 6)):
+                exps = tuple(rng.randint(0, 4) for _ in range(3))
+                c = Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, max_den))
+                terms[exps] = factor * c
+            f = Polynomial(ctx, {e: c for e, c in terms.items() if c})
+            if f.is_zero():
+                shapes["zero"] += 1
+            elif all(d == 1 for _, d in f._terms.values()):
+                shapes["ints"] += 1
+            else:
+                shapes["rationals"] += 1
+            assert content(f) == loop_content(f)
+        assert min(shapes.values()) > 100
 
     def test_equal_up_to_scalar(self):
         ctx = VarContext(["x", "y"])

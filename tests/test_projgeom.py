@@ -30,6 +30,17 @@ def nonzero_fraction(rng, max_den):
     return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, max_den))
 
 
+IDENTITY = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+
+
+def matmul(a, b):
+    """The 5x5 matrix product a . b, as rows."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(5)) for j in range(5))
+        for i in range(5)
+    )
+
+
 class TestProjPoint:
     def test_canonical_scaling(self):
         a = ProjPoint([0, 2, -4, 6, 0])
@@ -51,14 +62,14 @@ class TestProjPoint:
 
     def test_scaled(self):
         a = ProjPoint([2, 4, 0, 0, 0])
-        assert a.scaled(3) == a
+        assert ProjPoint([3 * c for c in a.coords]) == a
 
 
 class TestFrameMatrix:
     def test_identity(self):
-        ident = FrameMatrix.identity()
-        assert ident.det() == 1
-        assert (ident @ ident).rows == ident.rows
+        ident = FrameMatrix(IDENTITY)
+        assert det_over_ring(ident.rows) == 1
+        assert matmul(ident.rows, ident.rows) == ident.rows
 
     def test_singular_matrix_is_rejected(self):
         rows = [[1, 0, 0, 0, 0]] * 5
@@ -78,7 +89,7 @@ class TestFrameMatrix:
         with pytest.raises(SingularMatrixError, match="frame matrix has determinant 0"):
             FrameMatrix(rows)
         rows[2][4] += Fraction(1, 1000)
-        assert FrameMatrix(rows).det() == brute_det(rows)
+        assert det_over_ring(FrameMatrix(rows).rows) == brute_det(rows)
 
     def test_det_matches_leibniz_on_rational_frames(self):
         rng = random.Random(78)
@@ -90,7 +101,7 @@ class TestFrameMatrix:
                     FrameMatrix(rows)
                 continue
             built += 1
-            assert FrameMatrix(rows).det() == brute_det(rows)
+            assert det_over_ring(FrameMatrix(rows).rows) == brute_det(rows)
 
     def test_seeded_inverses(self):
         rng = random.Random(77)
@@ -102,8 +113,8 @@ class TestFrameMatrix:
             except SingularMatrixError:
                 continue
             built += 1
-            assert (m @ m.invert()).rows == FrameMatrix.identity().rows
-            assert (m.invert() @ m).rows == FrameMatrix.identity().rows
+            assert matmul(m.rows, m.invert().rows) == IDENTITY
+            assert matmul(m.invert().rows, m.rows) == IDENTITY
 
 
     def test_dense_inverses_match_gauss_jordan(self):
@@ -121,7 +132,7 @@ class TestFrameMatrix:
             built += 1
             m = FrameMatrix(rows)
             assert m.invert().rows == inverse
-            assert m @ m.invert() == FrameMatrix.identity()
+            assert matmul(m.rows, m.invert().rows) == IDENTITY
 
     def test_invert_eliminates_twice(self, monkeypatch):
         # the [M | I] pass, then the result's invertibility check; the
@@ -165,18 +176,18 @@ def brute_inverse(rows):
 class TestBourgainFrame:
     def test_rows_at_simple_values(self):
         m = frame_bourgain(Fraction(0), Fraction(0))
-        assert m.rows == FrameMatrix.identity().rows
+        assert m.rows == IDENTITY
         m = frame_bourgain(Fraction(1), Fraction(2))
-        assert m.row(1) == (0, 1, -2, -1, 0)
-        assert m.row(2) == (2, 0, 1, 1, 2)
+        assert m.rows[1] == (0, 1, -2, -1, 0)
+        assert m.rows[2] == (2, 0, 1, 1, 2)
 
     def test_determinant_is_one_for_seeded_pairs(self):
         rng = random.Random(78)
         for _ in range(10):
             p, q = random_fractions(rng, 2)
             m = frame_bourgain(p, q)
-            assert m.det() == 1
-            assert (m @ m.invert()).rows == FrameMatrix.identity().rows
+            assert det_over_ring(m.rows) == 1
+            assert matmul(m.rows, m.invert().rows) == IDENTITY
 
     def test_symbolic_inverse_pattern(self):
         """det == 1 symbolically, so the adjugate IS the inverse; two of
@@ -424,7 +435,7 @@ class TestCoordinateChange:
 
     def test_identity_change_is_identity(self, zctx):
         f = zctx.variable("z1") ** 2 - zctx.variable("z0") * zctx.variable("z4")
-        assert change_polynomial_coordinates(f, FrameMatrix.identity()) == f
+        assert change_polynomial_coordinates(f, FrameMatrix(IDENTITY)) == f
 
     def test_seeded_rational_frames_match_the_value_at_a_point(self, zctx):
         # g = f(M . v): g at a point v is f at the point M . v, computed here

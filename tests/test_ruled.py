@@ -21,7 +21,7 @@ from torsal.polyring import (
     equal_up_to_scalar,
     sylvester_resultant,
 )
-from torsal.projgeom import ProjPoint
+from torsal.projgeom import ProjPoint, frame_rows
 from torsal.ruled import (
     CHART_NOTE,
     DEFAULT_SEED,
@@ -30,7 +30,6 @@ from torsal.ruled import (
     FocalSystem,
     LineFamily,
     conic_tangency_map,
-    conic_tangency_point,
     envelope,
     focal_points_on_generator,
     focal_system,
@@ -176,15 +175,15 @@ class TestTangency:
         rng = random.Random(84)
         for _ in range(10):
             p = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            pt = conic_tangency_point(p)
+            pt = ProjPoint(frame_rows(p, 0)[1])
             assert pt == ProjPoint([0, 1, -2 * p, -(p ** 2), 0])
 
     def test_tangency_point_takes_int_or_fraction_only(self):
-        assert conic_tangency_point(2) == conic_tangency_point(Fraction(2))
-        assert conic_tangency_point(2) == ProjPoint([0, 1, -4, -4, 0])
+        assert frame_rows(2, 0)[1] == frame_rows(Fraction(2), 0)[1]
+        assert ProjPoint(frame_rows(2, 0)[1]) == ProjPoint([0, 1, -4, -4, 0])
         for bad in (0.1, "2/3", Decimal("0.1")):
             with pytest.raises(TypeError, match=type(bad).__name__):
-                conic_tangency_point(bad)
+                ProjPoint(frame_rows(bad, 0)[1])
 
     def test_dual_constancy_along_generators(self, bourgain):
         """Two distinct affine points of one generator share their dual."""
@@ -195,8 +194,8 @@ class TestTangency:
             q = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             lam1 = Fraction(rng.randint(1, 9))
             lam2 = -Fraction(rng.randint(1, 9), 2)
-            pt1 = ProjPoint(gmap.evaluate([p, q, lam1]))
-            pt2 = ProjPoint(gmap.evaluate([p, q, lam2]))
+            pt1 = ProjPoint(c.evaluate([p, q, lam1]) for c in gmap.components)
+            pt2 = ProjPoint(c.evaluate([p, q, lam2]) for c in gmap.components)
             assert pt1 != pt2
             dual1 = tangent_hyperplane(bourgain, pt1)
             dual2 = tangent_hyperplane(bourgain, pt2)
@@ -208,7 +207,7 @@ class TestTangency:
         for _ in range(10):
             p = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             q = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            center = ProjPoint(gmap.evaluate([p, q, Fraction(0)]))
+            center = ProjPoint(c.evaluate([p, q, Fraction(0)]) for c in gmap.components)
             assert center == ProjPoint([0, 1, -2 * p, -(p ** 2), 0])
             with pytest.raises(SingularPointError) as exc_info:
                 tangent_hyperplane(bourgain, center)
