@@ -5,11 +5,13 @@ coefficients stored as ``(numerator, denominator)`` int pairs:
 denominator positive, lowest terms, numerator nonzero (zero coefficients
 are never stored). Every polynomial operation in the package bottoms out
 in these loops, so they stay on bare ints instead of fractions.Fraction.
-Products of integer inputs, which every resultant, envelope and
-implicitization starts from, accumulate plain ints and build one pair per
-output term. Every other product, exact quotient and scaling clears its
-operands to ints (_cleared), runs on ints and divides by one denominator
-at the end (_pairs).
+Products of integer inputs, which every implicitization starts from,
+accumulate plain ints and build one pair per output term. Every other
+product, exact quotient and scaling clears its operands to ints
+(_cleared), runs on ints (_mul_ints, _exact_div_ints) and divides by one
+denominator at the end (_pairs). The subresultant PRS of
+torsal.polyring calls those int loops directly and builds pairs only for
+its result.
 
 A key packs an exponent vector (e0, ..., e_{n-1}) of total degree deg
 into one int, ``WIDTH`` bits per field with e0 most significant and the
@@ -168,14 +170,24 @@ def _mul_cleared(a, b):
     """
     a, da = _cleared(a)
     b, db = _cleared(b)
-    b = list(b.items())
-    out = {}
+    return _pairs(_mul_ints(a, b), 1, da * db)
+
+
+def _mul_ints(a, b, out=None):
+    """Add the product of the int dicts a and b into out and return it.
+
+    out is a new dict when None. Cancelled keys stay as zeros; the caller
+    drops them in its one pass over the result.
+    """
+    if out is None:
+        out = {}
     get = out.get
+    b = list(b.items())
     for k1, n1 in a.items():
         for k2, n2 in b:
             key = k1 + k2
             out[key] = get(key, 0) + n1 * n2
-    return _pairs(out, 1, da * db)
+    return out
 
 
 def _cleared(terms):

@@ -35,7 +35,13 @@ Algebraic Number Theory", Alg. 3.3.7, without content removal): each
 pseudo-remainder is divided exactly by g*h^delta and each new h is
 g^delta divided exactly by h^(delta-1). The number of ring operations
 grows polynomially in the degrees, where cofactor expansion of the
-matrix grows factorially.
+matrix grows factorially. The sequence runs on integer term dicts, one
+denominator per input: f = F/df and g = G/dg are cleared once, F and G
+split into one int dict per power of the variable, and Res(f, g) =
+Res(F, G) / (df^n * dg^m) with m = deg f and n = deg g. Every quotient
+of the sequence is a subresultant, integral over the integers, so one
+that is not raises InexactDivisionError. Each product checks the
+degree guard first, as Polynomial multiplication does.
 
 Linear algebra: ``eliminate`` is the one elimination, fraction-free
 Gauss-Jordan (Bareiss 1968) with exact division by the previous pivot.
@@ -88,6 +94,18 @@ def _times_power(terms, powers, e):
     if power is None:
         power = powers[e] = K.terms_pow(powers[1], e)
     return K.terms_mul(terms, power)
+
+
+def _by_power(terms, context, var, degree):
+    """Split a dict keyed by packed monomials into one dict per power
+    var^0 .. var^degree, with var removed from the keys."""
+    s = context._shifts[context.index(var)]
+    unit = context._units[var]
+    buckets = [{} for _ in range(degree + 1)]
+    for key, value in terms.items():
+        e = (key >> s) & MASK
+        buckets[e][key - e * unit] = value
+    return buckets
 
 
 def _degree_guard(degree, what):
@@ -346,14 +364,11 @@ class Polynomial:
 
     def coefficients_in(self, var: str) -> list:
         """Coefficients of var^0, var^1, ... as polynomials (var removed)."""
-        s = self.context._shifts[self.context.index(var)]
-        unit = self.context._units[var]
-        deg = self.degree_in(var)
-        buckets = [dict() for _ in range(max(deg, 0) + 1)]
-        for key, pair in self._terms.items():
-            e = (key >> s) & MASK
-            buckets[e][key - e * unit] = pair
-        return [Polynomial._make(self.context, b) for b in buckets]
+        deg = max(self.degree_in(var), 0)
+        return [
+            Polynomial._make(self.context, b)
+            for b in _by_power(self._terms, self.context, var, deg)
+        ]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -714,29 +729,77 @@ def det_over_ring(rows):
     return sign * rows[n - 1][n - 1]
 
 
-def _pseudo_remainder(a, b):
+def _int_product(a, b, shift):
+    """a * b for nonzero int dicts whose keys have their degree above bit
+    ``shift``; DegreeError where Polynomial.__mul__ raises it."""
+    _degree_guard((max(a) >> shift) + (max(b) >> shift), "product")
+    return {key: n for key, n in K._mul_ints(a, b).items() if n}
+
+
+def _int_power(a, e, shift):
+    """a**e for a nonzero int dict and an int e >= 0, by repeated
+    multiplication; DegreeError where Polynomial.__pow__ raises it."""
+    _degree_guard((max(a) >> shift) * e, "power")
+    if not e:
+        return {0: 1}
+    if len(a) == 1:
+        [(key, n)] = a.items()
+        return {key * e: n ** e}
+    out = a
+    for _ in range(e - 1):
+        out = _int_product(out, a, shift)
+    return out
+
+
+def _int_quotient(a, b, boundaries):
+    """a / b for int dicts, b nonzero, when b divides a with an integral
+    quotient; InexactDivisionError otherwise, never a rounded value."""
+    if not a:
+        return {}
+    q = K._exact_div_ints(a, b, max(b), boundaries)
+    if q is None:
+        raise InexactDivisionError(
+            "exact division leaves a quotient that is not integral"
+        )
+    return q
+
+
+def _pseudo_remainder(a, b, shift):
     """R with lc(b)^(deg a - deg b + 1) * a = Q*b + R and deg R < deg b.
 
     a, b and R are coefficient lists in one variable, constant term first,
-    with a nonzero last entry (R is [] when it is zero); len(a) >= len(b).
+    each coefficient an int dict, with a nonzero last entry (R is [] when
+    it is zero); len(a) >= len(b). Keys hold their degree above bit
+    ``shift``, which the degree guard of each product reads.
     """
     lead, rest = b[-1], b[:-1]
+    lead_degree = max(lead) >> shift
     r = list(a)
     steps = len(a) - len(b) + 1
     while len(r) >= len(b):
-        # r <- lead * r - top * x^k * b; the top coefficients cancel
+        # r <- lead * r - top * x^k * b; the top coefficients cancel, and
+        # both products of one coefficient accumulate into one dict
         top = r.pop()
+        top_degree = max(top) >> shift
+        minus_top = {key: -n for key, n in top.items()}
         k = len(r) - len(rest)
-        r = [c * lead if c else c for c in r]
-        for j, c in enumerate(rest):
+        for i, c in enumerate(r):
+            out = None
             if c:
-                r[k + j] = r[k + j] - top * c
+                _degree_guard(lead_degree + (max(c) >> shift), "product")
+                out = K._mul_ints(lead, c)
+            y = rest[i - k] if i >= k else None
+            if y:
+                _degree_guard(top_degree + (max(y) >> shift), "product")
+                out = K._mul_ints(minus_top, y, out)
+            if out is not None:
+                r[i] = {key: n for key, n in out.items() if n}
         steps -= 1
         while r and not r[-1]:
             r.pop()
     if steps and r:
-        scale = lead ** steps
-        r = [c * scale for c in r]
+        scale = _int_power(lead, steps, shift)
+        r = [_int_product(c, scale, shift) if c else c for c in r]
     return r
 
 
@@ -754,33 +817,49 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
         raise DegreeError(f"first input has degree {m} in {var!r}; need >= 1")
     if n < 1:
         raise DegreeError(f"second input has degree {n} in {var!r}; need >= 1")
+    context = f.context
+    shift = context._degree_shift
+    # f = F/df and g = G/dg, so Res(f, g) = Res(F, G) / (df^n * dg^m)
+    F, df = K._cleared(f._terms)
+    G, dg = K._cleared(g._terms)
+    den = df ** n * dg ** m
     sign = 1
     if m < n:  # Res(f, g) = (-1)^(mn) Res(g, f)
-        f, g = g, f
+        F, G, m, n = G, F, n, m
         sign = -1 if m * n % 2 else 1
-    a = f.coefficients_in(var)
-    b = g.coefficients_in(var)
-    one = Polynomial.one(f.context)
+    a = _by_power(F, context, var, m)
+    b = _by_power(G, context, var, n)
+    # every field boundary of a key, for _exact_div_ints
+    boundaries = sum(1 << bit for bit in range(WIDTH, shift + 1, WIDTH))
+    one = {0: 1}
     lead = h = one  # Cohen's g and h
     while len(b) > 1:
         delta = len(a) - len(b)
         if (len(a) - 1) * (len(b) - 1) % 2:
             sign = -sign
-        r = _pseudo_remainder(a, b)
+        r = _pseudo_remainder(a, b, shift)
         if not r:
-            return Polynomial.zero(f.context)
-        divisor = lead * h ** delta
+            return Polynomial.zero(context)
+        divisor = _int_product(lead, _int_power(h, delta, shift), shift)
         if divisor != one:
-            r = [c.exact_div(divisor) for c in r]
+            r = [_int_quotient(c, divisor, boundaries) for c in r]
         a, b = b, r
         lead = a[-1]
         if delta == 1:
             h = lead
         elif delta > 1:
-            h = (lead ** delta).exact_div(h ** (delta - 1))
+            h = _int_quotient(
+                _int_power(lead, delta, shift),
+                _int_power(h, delta - 1, shift),
+                boundaries,
+            )
     d = len(a) - 1
-    res = b[0] if d == 1 else (b[0] ** d).exact_div(h ** (d - 1))
-    return res if sign > 0 else -res
+    res = b[0]
+    if d != 1:
+        res = _int_quotient(
+            _int_power(res, d, shift), _int_power(h, d - 1, shift), boundaries
+        )
+    return Polynomial._make(context, K._pairs(res, sign, den))
 
 
 def discriminant(f: Polynomial, var: str) -> Polynomial:

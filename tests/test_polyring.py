@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_random_homogeneous, make_random_polynomial
-from torsal import _kernel
+from torsal import _kernel, polyring
 from torsal.errors import (
     ContextMismatchError,
     DegreeError,
@@ -700,14 +700,184 @@ class TestResultantAgainstSylvesterDeterminant:
                 return original(*args)
             return call
 
-        for name in ("terms_mul", "terms_exact_div"):
+        for name in ("_mul_ints", "_exact_div_ints"):
             monkeypatch.setattr(_kernel, name, counted(getattr(_kernel, name)))
         envelope(dense_line_family(random.Random(76), 8))
-        # the subresultant PRS of the degree-8 family: 126 products (those
-        # inside terms_pow included) and 21 exact divisions, on integer
-        # coefficients, so none is a second pass over cleared denominators
-        assert calls.count("terms_mul") <= 126
-        assert 0 < calls.count("terms_exact_div") <= 21
+        # the subresultant PRS of the degree-8 family on int dicts: 126
+        # products (those inside powers included, and each of the two in
+        # one pseudo-remainder coefficient) and 21 exact divisions
+        assert calls.count("_mul_ints") <= 126
+        assert 0 < calls.count("_exact_div_ints") <= 21
+
+
+def polynomial_pseudo_remainder(a, b):
+    """The Polynomial-level pseudo-remainder the integer PRS replaced,
+    kept as the oracle of TestIntegerPRSDifferential."""
+    lead, rest = b[-1], b[:-1]
+    r = list(a)
+    steps = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        top = r.pop()
+        k = len(r) - len(rest)
+        r = [c * lead if c else c for c in r]
+        for j, c in enumerate(rest):
+            if c:
+                r[k + j] = r[k + j] - top * c
+        steps -= 1
+        while r and not r[-1]:
+            r.pop()
+    if steps and r:
+        scale = lead ** steps
+        r = [c * scale for c in r]
+    return r
+
+
+def polynomial_resultant(f, g, var):
+    """The subresultant PRS on Polynomial coefficients that
+    sylvester_resultant ran before it moved to int dicts; the oracle."""
+    f._check_context(g)
+    m = f.degree_in(var)
+    n = g.degree_in(var)
+    if m < 1:
+        raise DegreeError(f"first input has degree {m} in {var!r}; need >= 1")
+    if n < 1:
+        raise DegreeError(f"second input has degree {n} in {var!r}; need >= 1")
+    sign = 1
+    if m < n:
+        f, g = g, f
+        sign = -1 if m * n % 2 else 1
+    a = f.coefficients_in(var)
+    b = g.coefficients_in(var)
+    one = Polynomial.one(f.context)
+    lead = h = one
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = polynomial_pseudo_remainder(a, b)
+        if not r:
+            return Polynomial.zero(f.context)
+        divisor = lead * h ** delta
+        if divisor != one:
+            r = [c.exact_div(divisor) for c in r]
+        a, b = b, r
+        lead = a[-1]
+        if delta == 1:
+            h = lead
+        elif delta > 1:
+            h = (lead ** delta).exact_div(h ** (delta - 1))
+    d = len(a) - 1
+    res = b[0] if d == 1 else (b[0] ** d).exact_div(h ** (d - 1))
+    return res if sign > 0 else -res
+
+
+def outcome(resultant, f, g, var):
+    """The resultant, or the type of the error it raised."""
+    try:
+        return resultant(f, g, var)
+    except Exception as exc:  # compared by type with the oracle's
+        return type(exc)
+
+
+def sparse_in_x(rng, ctx, degree, rational):
+    """Exact degree `degree` in x with a term free of x, each power of x
+    in between present with probability 1/3, so remainder chains skip
+    degrees."""
+    others = len(ctx.names) - 1
+    x = ctx.names.index("x")
+    terms = {}
+    for k in range(degree + 1):
+        if 0 < k < degree and rng.random() > 1 / 3:
+            continue
+        for _ in range(rng.randint(1, 2)):
+            exps = [rng.randint(0, 2) for _ in range(others)]
+            exps.insert(x, k)
+            num = rng.choice([-1, 1]) * rng.randint(1, 9)
+            terms[tuple(exps)] = Fraction(num, rng.randint(1, 4) if rational else 1)
+    f = Polynomial(ctx, terms)
+    return f if f.degree_in("x") == degree else sparse_in_x(rng, ctx, degree, rational)
+
+
+class TestIntegerPRSDifferential:
+    """sylvester_resultant on int dicts against the Polynomial-level PRS."""
+
+    SHAPES = ("dense family", "sparse", "rational", "swapped", "common factor",
+              "var inside", "huge", "wide")
+
+    def draw(self, rng, shape):
+        """(f, g, var) of one shape."""
+        if shape == "dense family":
+            lf = dense_line_family(rng, rng.randint(3, 5 if rng.random() < 0.9 else 6))
+            return lf.f, lf.f.partial_derivative("p"), "p"
+        ctx = VarContext(["a", "x", "b"] if shape == "var inside" else ["x", "a", "b"])
+        m, n = rng.randint(2, 5), rng.randint(1, 4)
+        if shape == "swapped":
+            m, n = rng.randint(1, 3), rng.randint(2, 5)
+            m = min(m, n - 1)
+        rational = shape in ("rational", "swapped", "var inside")
+        f = sparse_in_x(rng, ctx, m, rational)
+        g = sparse_in_x(rng, ctx, n, rational)
+        if shape == "common factor":
+            x, a, _ = ctx.variables()
+            factor = x - a if rng.random() < 0.5 else x * x + a * x - 3
+            f, g = f * factor, g * factor
+        elif shape == "huge":
+            big = [(1 << 64) + 1, 3 ** 50, (1 << 100) - 1, -(5 ** 40)]
+            f = f * rng.choice(big)
+            g = g * Fraction(rng.choice(big), rng.choice(big))
+        elif shape == "wide":
+            # degrees near the packed keys' limit: some chains overflow
+            a = ctx.variable("a")
+            f = f * a ** rng.choice([1 << 28, 1 << 29, 1 << 30])
+            g = g * a ** rng.choice([1 << 28, 1 << 29, 1 << 30])
+        return f, g, "x"
+
+    def test_seeded_pairs_match_the_polynomial_prs(self, monkeypatch):
+        # record the powers the PRS takes of polynomials with several
+        # terms, so the delta > 1 branches are seen to run
+        powers = []
+        original = polyring._int_power
+
+        def counted(a, e, shift):
+            powers.append(e if len(a) > 1 else 0)
+            return original(a, e, shift)
+
+        monkeypatch.setattr(polyring, "_int_power", counted)
+        rng = random.Random(1919)
+        seen = {"zero": 0, "nonzero": 0, DegreeError: 0}
+        for case in range(320):
+            shape = self.SHAPES[case % len(self.SHAPES)]
+            f, g, var = self.draw(rng, shape)
+            got = outcome(sylvester_resultant, f, g, var)
+            want = outcome(polynomial_resultant, f, g, var)
+            assert got == want, (shape, case, f, g)
+            if isinstance(got, Polynomial):
+                assert got._terms == want._terms and str(got) == str(want)
+                seen["nonzero" if got else "zero"] += 1
+            else:
+                seen[got] += 1
+            if shape == "common factor":
+                assert got == 0
+        assert max(powers) > 1
+        assert seen["zero"] >= 40 and seen["nonzero"] >= 250 and seen[DegreeError] >= 10
+
+    def test_refusals_match_the_polynomial_prs(self):
+        ctx = VarContext(["x", "y"])
+        x, y = ctx.variables()
+        wide = x ** (2 ** 31)
+        # a product of the PRS, x^(2^31) * x^(2^31), has total degree
+        # 2^32, past the packed keys' limit: lead times a coefficient in
+        # the first pair, the top coefficient times one of g's in the second
+        for resultant in (polynomial_resultant, sylvester_resultant):
+            with pytest.raises(DegreeError):
+                resultant(wide * y ** 2 + 1, wide * y + 1, "y")
+            with pytest.raises(DegreeError):
+                resultant(wide * y ** 2 + 1, y + wide, "y")
+            with pytest.raises(DegreeError):
+                resultant(x + 1, y + 1, "y")  # constant in y
+            with pytest.raises(ContextMismatchError):
+                resultant(x + y, VarContext(["x", "y", "z"]).variable("y"), "y")
+        assert sylvester_resultant(wide * y + 1, y - 1, "y") == -wide - 1
 
 
 def make_nonconstant(rng, ctx):
