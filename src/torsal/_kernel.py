@@ -7,9 +7,11 @@ are never stored). Every polynomial operation in the package bottoms out
 in these loops, so they stay on bare ints instead of fractions.Fraction.
 Products of integer inputs, which every implicitization starts from,
 accumulate plain ints and build one pair per output term. Every other
-product, exact quotient and scaling clears its operands to ints
-(_cleared), runs on ints (_mul_ints, _exact_div_ints) and divides by one
-denominator at the end (_pairs). The subresultant PRS of
+product, scaling, power and exact quotient clears its operands to ints
+(_cleared), runs one int loop (_mul_ints; _pow_ints, the one power loop,
+whose products are _mul_ints; _exact_div_ints, the one division loop,
+which finds the divisor's lead and borrow mask itself) and divides by
+one denominator at the end (_pairs). The subresultant PRS of
 torsal.polyring calls those int loops directly and builds pairs only for
 its result.
 
@@ -218,47 +220,54 @@ def _pairs(ints, num, den):
 
 
 def terms_pow(a, n):
-    """a**n for a non-negative int n.
-
-    A single term is raised directly. Otherwise a splits into its leading
-    term t and the rest r, and a**n = sum over k of C(n, k) t**k r**(n-k)
-    (binomial expansion; Fateman, "On the computation of powers of sparse
-    polynomials", 1974, weighs it against repeated multiplication and
-    squaring). Each summand is a power of r shifted by one key and scaled
-    by one rational. The powers of r come from repeated multiplication by
-    r, which has one term fewer than a; k runs downward, so only one power
-    of r and the sum are alive at a time. The cost is sum |r^j| * |r| term
-    products plus one pass over each r^j, where repeated multiplication by
-    a costs sum |a^j| * |a|: for (x+y+z)^44, 1,978 products instead of
-    45,537.
-    """
+    """a**n for a non-negative int n: (A/den)**n = _pow_ints(A, n) / den**n."""
     if n < 0:
         raise ValueError("negative exponent")
     if n == 0:
         return {0: (1, 1)}
     if n == 1 or not a:
         return a
-    lead = max(a)
-    tn, td = a[lead]
     if len(a) == 1:
+        [(lead, (tn, td))] = a.items()
         return {lead * n: (tn ** n, td ** n)}
-    r = {key: pair for key, pair in a.items() if key != lead}
-    # t**n in lowest terms, then C(n, k) t**k for k = n-1 .. 0
-    tk, dk = tn ** n, td ** n
-    out = {lead * n: (tk, dk)}
+    ints, den = _cleared(a)
+    return _pairs(_pow_ints(ints, n), 1, den ** n)
+
+
+def _pow_ints(a, n):
+    """a**n for a nonzero int dict a and an int n >= 1; the one power loop.
+
+    a splits into its leading term t and the rest r, and a**n = sum over
+    k of C(n, k) t**k r**(n-k) (binomial expansion; Fateman, "On the
+    computation of powers of sparse polynomials", 1974, weighs it against
+    repeated multiplication and squaring). Each summand is a power of r
+    shifted by one key and scaled by one int. The powers of r come from
+    repeated multiplication by r, which has one term fewer than a; k runs
+    downward, so only one power of r and the sum are alive at a time. The
+    cost is sum |r^j| * |r| term products plus one pass over each r^j,
+    where repeated multiplication by a costs sum |a^j| * |a|: for
+    (x+y+z)^44, 1,978 products instead of 45,537. As in _mul_ints,
+    cancelled keys stay as zeros, in the result and in the powers of r;
+    the caller drops them in its one pass over the result.
+    """
+    lead = max(a)
+    t = a[lead]
+    tk = t ** n
+    out = {lead * n: tk}
+    r = {key: c for key, c in a.items() if key != lead}
+    get = out.get
     binom, rpow = 1, r
     for k in range(n - 1, -1, -1):
+        # C(n, k) t**k from C(n, k+1) t**(k+1)
         binom = binom * (k + 1) // (n - k)
-        tk //= tn
-        dk //= td
-        cn, cd = rat_norm(binom * tk, dk)
+        tk //= t
+        c = binom * tk
         shift = lead * k
-        add_into(out, {
-            key + shift: (cn * pn, 1) if cd == pd == 1 else rat_mul(cn, cd, pn, pd)
-            for key, (pn, pd) in rpow.items()
-        })
+        for key, m in rpow.items():
+            key += shift
+            out[key] = get(key, 0) + c * m
         if k:
-            rpow = terms_mul(rpow, r)
+            rpow = _mul_ints(r, rpow)
     return out
 
 
@@ -283,24 +292,15 @@ def terms_exact_div(a, b):
     """
     if not b:
         raise ZeroDivisionError("exact division by the zero polynomial")
-    if not a:
-        return {}
-    lead = max(b)
-    # a field of key - lead borrows exactly when the subtraction carries a
-    # borrow into the lowest bit of the field above it; remainder keys
-    # never exceed max(a), so these bits cover every field boundary
-    boundaries = 0
-    for bit in range(WIDTH, max(a).bit_length(), WIDTH):
-        boundaries |= 1 << bit
     a, da = _cleared(a)
     b, db = _cleared(b)
-    q = _exact_div_ints(a, b, lead, boundaries)
+    q = _exact_div_ints(a, b)
     cb = 1
     if q is None:
         cb = gcd(*b.values())
         if cb > 1:
             b = {key: n // cb for key, n in b.items()}
-            q = _exact_div_ints(a, b, lead, boundaries)
+            q = _exact_div_ints(a, b)
         if q is None:
             raise _no_multiple()
     return _pairs(q, db, da * cb)
@@ -313,8 +313,15 @@ def _no_multiple():
     )
 
 
-def _exact_div_ints(a, b, lead, boundaries):
-    """The int dict A/B for int dicts A and B, or None if it is not integral."""
+def _exact_div_ints(a, b):
+    """The int dict A/B for int dicts A and B != {}, or None if it is not
+    integral; InexactDivisionError if B does not divide A."""
+    lead = max(b)
+    # a field of key - lead borrows exactly when the subtraction carries a
+    # borrow into the lowest bit of the field above it; a lead of degree
+    # >= 1 has bits above every field boundary, and a constant one
+    # cannot borrow
+    boundaries = sum(1 << bit for bit in range(WIDTH, lead.bit_length(), WIDTH))
     ln = b[lead]
     rest = [(key, n) for key, n in b.items() if key != lead]
     r = dict(a)

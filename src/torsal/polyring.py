@@ -38,10 +38,12 @@ grows polynomially in the degrees, where cofactor expansion of the
 matrix grows factorially. The sequence runs on integer term dicts, one
 denominator per input: f = F/df and g = G/dg are cleared once, F and G
 split into one int dict per power of the variable, and Res(f, g) =
-Res(F, G) / (df^n * dg^m) with m = deg f and n = deg g. Every quotient
-of the sequence is a subresultant, integral over the integers, so one
-that is not raises InexactDivisionError. Each product checks the
-degree guard first, as Polynomial multiplication does.
+Res(F, G) / (df^n * dg^m) with m = deg f and n = deg g. Its products,
+powers and quotients are the kernel's int loops (_mul_ints, _pow_ints,
+_exact_div_ints), the ones behind Polynomial's ** and exact_div.
+Every quotient of the sequence is a subresultant, integral over the
+integers, so one that is not raises InexactDivisionError. Each product
+and power checks the degree guard first, as Polynomial's * and ** do.
 
 Linear algebra: ``eliminate`` is the one elimination, fraction-free
 Gauss-Jordan (Bareiss 1968) with exact division by the previous pivot.
@@ -737,26 +739,18 @@ def _int_product(a, b, shift):
 
 
 def _int_power(a, e, shift):
-    """a**e for a nonzero int dict and an int e >= 0, by repeated
-    multiplication; DegreeError where Polynomial.__pow__ raises it."""
+    """a**e for a nonzero int dict and an int e >= 0 (the kernel's
+    _pow_ints); DegreeError where Polynomial.__pow__ raises it."""
     _degree_guard((max(a) >> shift) * e, "power")
-    if not e:
-        return {0: 1}
-    if len(a) == 1:
-        [(key, n)] = a.items()
-        return {key * e: n ** e}
-    out = a
-    for _ in range(e - 1):
-        out = _int_product(out, a, shift)
-    return out
+    if e <= 1:
+        return a if e else {0: 1}
+    return {key: n for key, n in K._pow_ints(a, e).items() if n}
 
 
-def _int_quotient(a, b, boundaries):
+def _int_quotient(a, b):
     """a / b for int dicts, b nonzero, when b divides a with an integral
     quotient; InexactDivisionError otherwise, never a rounded value."""
-    if not a:
-        return {}
-    q = K._exact_div_ints(a, b, max(b), boundaries)
+    q = K._exact_div_ints(a, b)
     if q is None:
         raise InexactDivisionError(
             "exact division leaves a quotient that is not integral"
@@ -829,8 +823,6 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
         sign = -1 if m * n % 2 else 1
     a = _by_power(F, context, var, m)
     b = _by_power(G, context, var, n)
-    # every field boundary of a key, for _exact_div_ints
-    boundaries = sum(1 << bit for bit in range(WIDTH, shift + 1, WIDTH))
     one = {0: 1}
     lead = h = one  # Cohen's g and h
     while len(b) > 1:
@@ -842,23 +834,19 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
             return Polynomial.zero(context)
         divisor = _int_product(lead, _int_power(h, delta, shift), shift)
         if divisor != one:
-            r = [_int_quotient(c, divisor, boundaries) for c in r]
+            r = [_int_quotient(c, divisor) for c in r]
         a, b = b, r
         lead = a[-1]
         if delta == 1:
             h = lead
         elif delta > 1:
             h = _int_quotient(
-                _int_power(lead, delta, shift),
-                _int_power(h, delta - 1, shift),
-                boundaries,
+                _int_power(lead, delta, shift), _int_power(h, delta - 1, shift)
             )
     d = len(a) - 1
     res = b[0]
     if d != 1:
-        res = _int_quotient(
-            _int_power(res, d, shift), _int_power(h, d - 1, shift), boundaries
-        )
+        res = _int_quotient(_int_power(res, d, shift), _int_power(h, d - 1, shift))
     return Polynomial._make(context, K._pairs(res, sign, den))
 
 
@@ -899,10 +887,10 @@ def content(f: Polynomial) -> Fraction:
 
 def primitive_part(f: Polynomial) -> Polynomial:
     """f divided by its content (coprime integer coefficients); 0 stays 0."""
-    c = content(f)
-    if c == 0:
+    if f.is_zero():
         return f
-    return f * (1 / c)
+    ints, _ = K._cleared(f._terms)
+    return Polynomial._make(f.context, K._pairs(ints, 1, gcd(*ints.values())))
 
 
 # -- canonical text rendering ------------------------------------------

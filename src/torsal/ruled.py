@@ -19,6 +19,7 @@ from functools import cache
 from math import isqrt
 
 from torsal import catalog
+from torsal._kernel import MASK
 from torsal._record import Record
 from torsal.errors import (
     BaseLocusError,
@@ -64,22 +65,26 @@ class LineFamily:
     __slots__ = ("f", "param", "plane_vars")
 
     def __init__(self, f: Polynomial, param: str):
-        names = f.context.names
+        ctx = f.context
+        names = ctx.names
         if len(names) != 4:
             raise ValueError(
                 f"a LineFamily context has the parameter plus 3 plane "
                 f"coordinates; got {len(names)} variables"
             )
-        f.context.index(param)  # validates
+        i = ctx.index(param)  # validates
         plane = tuple(n for n in names if n != param)
-        plane_idx = [f.context.index(n) for n in plane]
-        for mono, _ in f.sorted_terms():
-            d = sum(mono.exponents[i] for i in plane_idx)
-            if d != 1:
-                raise DegreeError(
-                    f"term {mono.exponents} has joint degree {d} in the plane "
-                    f"coordinates {plane}; a line family needs exactly 1"
-                )
+        # the joint degree of a term in the plane coordinates is its total
+        # degree less its exponent of param; the grlex-largest key that
+        # breaks the rule is the first such term in sorted order
+        s, top = ctx._shifts[i], ctx._degree_shift
+        bad = [key for key in f._terms if (key >> top) - ((key >> s) & MASK) != 1]
+        if bad:
+            exps = ctx._unpack(max(bad))
+            raise DegreeError(
+                f"term {exps} has joint degree {sum(exps) - exps[i]} in the "
+                f"plane coordinates {plane}; a line family needs exactly 1"
+            )
         self.f = f
         self.param = param
         self.plane_vars = plane
@@ -355,7 +360,7 @@ def rational_roots(f: Polynomial, var: str):
         raise ValueError("the zero polynomial has every rational as a root")
     f = primitive_part(f)
     roots = []
-    low = f.sorted_terms()[-1][0].total_degree  # the power of x dividing f
+    low = min(f._terms) >> ctx._degree_shift  # the power of x dividing f
     if low:
         roots.append((Fraction(0), low))
         f = f.exact_div(x ** low)

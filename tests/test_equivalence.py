@@ -43,6 +43,14 @@ class TestTrigSurface:
             TrigSurface(x1 * c ** 2)
         with pytest.raises(DegreeError):
             TrigSurface(c * s)
+        # of two offending terms the message names the first in sorted
+        # order, x1*c^2, though c*s*x4 is stored first
+        with pytest.raises(DegreeError) as raised:
+            TrigSurface(c * s * x4 + x1 * c ** 2 + x2)
+        assert str(raised.value) == (
+            "trig degree exceeds 1: term with exponents (1, 0, 0, 2, 0) "
+            "mixes or squares c, s"
+        )
         TrigSurface(Polynomial.zero(ctx))  # zero is allowed
 
 

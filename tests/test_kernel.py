@@ -345,6 +345,9 @@ def test_exact_div_refuses_what_does_not_divide():
         div({xy2: Fraction(1)}, {x2: Fraction(1)})
     with pytest.raises(InexactDivisionError):
         div({z: Fraction(1)}, {y: Fraction(1)})
+    # y / z borrows out of the last field only
+    with pytest.raises(InexactDivisionError):
+        div({y: Fraction(1)}, {z: Fraction(1)})
     # a borrow out of a wide field: y^(2^31) / x
     with pytest.raises(InexactDivisionError):
         div({(0, LIMIT // 2, 0): Fraction(1)}, {x: Fraction(1)})
@@ -515,19 +518,118 @@ class TestPower:
 
     def test_work_stays_near_the_output_size(self, monkeypatch):
         # repeated multiplication by x+y+z makes about 45,500 term products
-        # for the 44th power; the binomial split about 2,000
+        # for the 44th power; the binomial split about 2,000, all of them
+        # in the int loop
         products = []
-        mul = K.terms_mul
 
-        def counting_mul(a, b):
-            products.append(len(a) * len(b))
-            return mul(a, b)
+        def counting(mul):
+            def call(a, b, *out):
+                products.append(len(a) * len(b))
+                return mul(a, b, *out)
+            return call
 
-        monkeypatch.setattr(K, "terms_mul", counting_mul)
+        for name in ("terms_mul", "_mul_ints"):
+            monkeypatch.setattr(K, name, counting(getattr(K, name)))
         ctx = context(3)
         base = pack(ctx, {e: Fraction(1) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
         assert len(K.terms_pow(base, 44)) == comb(46, 2)
-        assert sum(products) <= 5000
+        assert 0 < sum(products) <= 5000
+
+
+def pair_pow(a, n):
+    """The binomial power loop on (numerator, denominator) pairs that the
+    int loop replaced, kept as the oracle of TestPowerDifferential."""
+    if n < 0:
+        raise ValueError("negative exponent")
+    if n == 0:
+        return {0: (1, 1)}
+    if n == 1 or not a:
+        return a
+    lead = max(a)
+    tn, td = a[lead]
+    if len(a) == 1:
+        return {lead * n: (tn ** n, td ** n)}
+    r = {key: pair for key, pair in a.items() if key != lead}
+    tk, dk = tn ** n, td ** n
+    out = {lead * n: (tk, dk)}
+    binom, rpow = 1, r
+    for k in range(n - 1, -1, -1):
+        binom = binom * (k + 1) // (n - k)
+        tk //= tn
+        dk //= td
+        cn, cd = K.rat_norm(binom * tk, dk)
+        shift = lead * k
+        K.add_into(out, {
+            key + shift: (cn * pn, 1) if cd == pd == 1 else K.rat_mul(cn, cd, pn, pd)
+            for key, (pn, pd) in rpow.items()
+        })
+        if k:
+            rpow = K.terms_mul(rpow, r)
+    return out
+
+
+class TestPowerDifferential:
+    """terms_pow against the pair-level binomial loop it replaced."""
+
+    SHAPES = ("integer", "rational", "negative lead", "cancelling",
+              "monomial", "huge")
+
+    def draw(self, rng, shape):
+        """(nvars, base) in reference form, base nonzero."""
+        nvars = rng.randint(1, 4)
+        integer = shape in ("integer", "cancelling") or (
+            shape in ("negative lead", "huge") and rng.random() < 0.5
+        )
+        while True:
+            base = random_reference(rng, nvars, max_terms=1 if shape == "monomial" else 5,
+                                    max_exp=3, integer=integer)
+            if base:
+                break
+        if shape == "negative lead":
+            top = max(base, key=lambda e: (sum(e), e))
+            if base[top] > 0:
+                base = {e: -c for e, c in base.items()}
+        elif shape == "cancelling":
+            # c*(u^2 + 2uv - 2v^2) has no u^2 v^2 term in its square: alone,
+            # the summands t^k r^(n-k) cancel one another; below a larger
+            # leading term w, the products inside the powers of r cancel
+            u = tuple(rng.randint(0, 2) for _ in range(nvars))
+            v = tuple(rng.randint(0, 2) for _ in range(nvars))
+            if (sum(u), u) < (sum(v), v):
+                u, v = v, u
+            if u == v:
+                u = tuple(e + 1 for e in u)
+            c = rng.choice([1, -3, 7])
+            base = {
+                tuple(i * x + j * y for x, y in zip(u, v)): Fraction(c * k)
+                for i, j, k in ((2, 0, 1), (1, 1, 2), (0, 2, -2))
+            }
+            if rng.random() < 0.5:
+                base[tuple(2 * x + 1 for x in u)] = Fraction(rng.choice([1, -2]))
+        elif shape == "huge":
+            big = [1 << 64, 3 ** 50, (1 << 100) + 1, 5 ** 40]
+            base = {e: c * rng.choice(big) / rng.choice(big) for e, c in base.items()}
+        return nvars, base
+
+    def test_seeded_bases_match_the_pair_loop(self):
+        rng = random.Random(2020)
+        exponents, cancelled = set(), 0
+        for case in range(360):
+            shape = self.SHAPES[case % len(self.SHAPES)]
+            nvars, base = self.draw(rng, shape)
+            # high powers only of small bases, so the outputs stay small
+            top = 60 if len(base) <= 2 or nvars == 1 or shape == "monomial" else 8
+            n = rng.randint(2, top)
+            exponents.add(n)
+            ka = pack(context(nvars), base)
+            got = K.terms_pow(ka, n)
+            assert got == pair_pow(ka, n), (shape, base, n)
+            unpack(context(nvars), got)  # lowest terms, no zero coefficient
+            assert ka == pack(context(nvars), base)
+            # with positive coefficients nothing cancels
+            positive = {key: (abs(num), den) for key, (num, den) in ka.items()}
+            cancelled += len(got) < len(pair_pow(positive, n))
+        assert max(exponents) == 60 and cancelled >= 20
 
 
 class TestPacking:

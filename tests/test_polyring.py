@@ -237,16 +237,20 @@ def per_term_substitute(f, images, target):
 
 
 def count_products(monkeypatch):
-    """Term products made by kernel multiplication from here on, also
-    those inside terms_pow."""
+    """Term products made by kernel multiplication from here on: those of
+    terms_mul and those of the int loop _mul_ints, which makes the
+    products inside terms_pow (and those of terms_mul on rational
+    operands, which are then counted twice)."""
     products = []
-    mul = _kernel.terms_mul
 
-    def counting_mul(a, b):
-        products.append(len(a) * len(b))
-        return mul(a, b)
+    def counting(mul):
+        def call(a, b, *out):
+            products.append(len(a) * len(b))
+            return mul(a, b, *out)
+        return call
 
-    monkeypatch.setattr(_kernel, "terms_mul", counting_mul)
+    for name in ("terms_mul", "_mul_ints"):
+        monkeypatch.setattr(_kernel, name, counting(getattr(_kernel, name)))
     return products
 
 
@@ -880,6 +884,72 @@ class TestIntegerPRSDifferential:
         assert sylvester_resultant(wide * y + 1, y - 1, "y") == -wide - 1
 
 
+def repeated_int_power(a, e):
+    """a**e for an int dict by e products of terms_mul's own loop on
+    integer pairs: the oracle of TestIntegerPower."""
+    out = {0: (1, 1)}
+    for _ in range(e):
+        out = _kernel.terms_mul(out, {key: (n, 1) for key, n in a.items()})
+    return {key: n for key, (n, _) in out.items()}
+
+
+class TestIntegerPower:
+    """The PRS's powers, polyring._int_power, against repeated products."""
+
+    def test_seeded_powers_match_repeated_multiplication(self):
+        rng = random.Random(2121)
+        for case in range(200):
+            ctx = VarContext(["x", "y", "z"][: rng.randint(1, 3)])
+            f = random_integer_polynomial(rng, ctx, max_terms=1 if case % 5 == 0 else 5)
+            if f.is_zero():
+                continue
+            if case % 4 == 1:
+                f = -f if f.leading_coefficient() > 0 else f
+            elif case % 4 == 2:
+                f = f * ((1 << 64) + 1)
+            a, _ = _kernel._cleared(f._terms)
+            e = rng.randint(0, 9)
+            got = polyring._int_power(a, e, ctx._degree_shift)
+            assert got == repeated_int_power(a, e), (f, e)
+            assert all(got.values())
+            assert a == _kernel._cleared(f._terms)[0]
+
+    def test_cancelling_terms_are_dropped(self):
+        ctx = VarContext(["x", "y"])
+        x, y = ctx.variables()
+        # (x^2 + 2xy - 2y^2)^2 has no x^2 y^2 term; below the lead x^3,
+        # that tail cancels inside its own powers
+        for f in (x ** 2 + 2 * x * y - 2 * y ** 2, x ** 3 + x ** 2 + 2 * x * y - 2 * y ** 2):
+            a, _ = _kernel._cleared(f._terms)
+            for e in range(2, 6):
+                got = polyring._int_power(a, e, ctx._degree_shift)
+                assert got == repeated_int_power(a, e)
+                assert Polynomial._make(ctx, {k: (n, 1) for k, n in got.items()}) == f ** e
+
+    def test_degree_error_at_the_limit(self):
+        ctx = VarContext(["x", "y"])
+        x, y = ctx.variables()
+        shift = ctx._degree_shift
+        d = (_kernel.DEGREE_LIMIT - 1) // 3  # 3 * d is the largest degree
+        assert 3 * d == _kernel.DEGREE_LIMIT - 1
+        for f, fits in ((x ** d + y, True), (x ** (d + 1) + y, False),
+                        (2 * x ** (d + 1), False)):
+            a, _ = _kernel._cleared(f._terms)
+            if fits:
+                got = polyring._int_power(a, 3, shift)
+                assert got == repeated_int_power(a, 3)
+                assert max(got) >> shift == _kernel.DEGREE_LIMIT - 1
+                assert (f ** 3)._terms == {k: (n, 1) for k, n in got.items()}
+            else:
+                with pytest.raises(DegreeError):
+                    polyring._int_power(a, 3, shift)
+                with pytest.raises(DegreeError):
+                    f ** 3
+        big, _ = _kernel._cleared((x ** (d + 1) + y)._terms)
+        assert polyring._int_power(big, 0, shift) == {0: 1}
+        assert polyring._int_power(big, 1, shift) is big
+
+
 def make_nonconstant(rng, ctx):
     x = ctx.variable("x")
     d = rng.randint(1, 3)
@@ -941,6 +1011,9 @@ class TestContentAndScalars:
             else:
                 shapes["rationals"] += 1
             assert content(f) == loop_content(f)
+            # primitive_part as it was: f times the inverse of its content
+            want = f if f.is_zero() else f * (1 / loop_content(f))
+            assert primitive_part(f)._terms == want._terms
         assert min(shapes.values()) > 100
 
     def test_equal_up_to_scalar(self):

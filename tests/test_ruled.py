@@ -127,6 +127,21 @@ class TestEnvelope:
         with pytest.raises(DegreeError):
             LineFamily(z1 * z2 + z3, "p")
 
+    def test_line_family_error_names_the_first_offending_term(self):
+        # z3^3 is stored first, but p*z1*z2 comes first in sorted order,
+        # and it is the term the message has always named
+        for names in (["p", "z1", "z2", "z3"], ["z1", "p", "z2", "z3"]):
+            ctx = VarContext(names)
+            v = dict(zip(names, ctx.variables()))
+            f = v["z3"] ** 3 + v["p"] * v["z1"] * v["z2"] - v["z2"]
+            assert next(iter(f._terms)) == ctx._pack((0, 0, 0, 3))
+            with pytest.raises(DegreeError) as raised:
+                LineFamily(f, "p")
+            assert str(raised.value) == (
+                "term (1, 1, 1, 0) has joint degree 2 in the plane "
+                "coordinates ('z1', 'z2', 'z3'); a line family needs exactly 1"
+            )
+
     def test_quadratic_family_envelope_is_the_conic(self):
         ctx = VarContext(["p", "z1", "z2", "z3"])
         p, z1, z2, z3 = ctx.variables()
