@@ -13,7 +13,9 @@ whose products are _mul_ints; _exact_div_ints, the one division loop,
 which finds the divisor's lead and borrow mask itself) and divides by
 one denominator at the end (_pairs). The subresultant PRS of
 torsal.polyring calls those int loops directly and builds pairs only for
-its result.
+its result. Evaluation has one loop too, terms_eval_many: several dicts
+at one point, as ints over one common denominator; terms_eval reduces its
+single result to lowest terms.
 
 A key packs an exponent vector (e0, ..., e_{n-1}) of total degree deg
 into one int, ``WIDTH`` bits per field with e0 most significant and the
@@ -357,33 +359,50 @@ def _exact_div_ints(a, b):
 
 
 def terms_eval(a, point):
-    """Evaluate at a point given as a sequence of (num, den) pairs.
+    """Evaluate at a point given as a sequence of (num, den) pairs, den > 0:
+    the value of terms_eval_many in lowest terms."""
+    [num], den = terms_eval_many([a], point)
+    return rat_norm(num, den)
 
-    Works over the common denominator prod(den_i ** D_i), D_i the largest
-    exponent of variable i, so each term costs integer products only and
-    one reduction happens per distinct coefficient denominator.
+
+def terms_eval_many(dicts, point):
+    """Evaluate several term dicts at one point of (num, den) pairs, den > 0;
+    the one evaluation loop.
+
+    Returns (nums, den): dict j has the value nums[j] / den, den > 0, not
+    reduced. The common denominator is L * prod(den_i ** D_i), with L the
+    lcm of every coefficient denominator and D_i the largest exponent of
+    variable i in any of the dicts. Each variable gets one table
+    num_i**e * den_i**(D_i - e), built once for all the dicts over the
+    exponents e that occur, and each distinct monomial is one product of
+    table entries, so a term costs integer products only.
     """
-    if not a:
-        return (0, 1)
-    n = len(point)
-    shifts = [(n - 1 - i) * WIDTH for i in range(n)]
-    exps = [[(key >> s) & MASK for s in shifts] for key in a]
-    columns = list(zip(*exps))
-    top = [max(column) for column in columns]
-    # tables[i][e] = num_i**e * den_i**(D_i - e), for the e that occur
+    shifts = range((len(point) - 1) * WIDTH, -1, -WIDTH)
+    keys = list(set().union(*dicts))
+    # one column per variable: its exponent in each distinct monomial
+    columns = [[(key >> s) & MASK for key in keys] for s in shifts]
+    top = [max(column, default=0) for column in columns]
     tables = [
         {e: pn ** e * pd ** (dmax - e) for e in set(column)}
         for (pn, pd), dmax, column in zip(point, top, columns)
     ]
-    sums = {}
-    for vector, (num, den) in zip(exps, a.values()):
+    monomials = {}
+    for key, vector in zip(keys, zip(*columns)):
+        m = 1
         for table, e in zip(tables, vector):
-            num *= table[e]
-        sums[den] = sums.get(den, 0) + num
-    acc_n, acc_d = 0, 1
-    for den, num in sums.items():
-        acc_n, acc_d = rat_add(acc_n, acc_d, *rat_norm(num, den))
-    scale = 1
+            m *= table[e]
+        monomials[key] = m
+    den = 1
+    for a in dicts:
+        for _, d in a.values():
+            if den % d:
+                den = lcm(den, d)
+    nums = []
+    for a in dicts:
+        total = 0
+        for key, (c, d) in a.items():
+            total += c * (den // d) * monomials[key]
+        nums.append(total)
     for (_, pd), dmax in zip(point, top):
-        scale *= pd ** dmax
-    return rat_norm(acc_n, acc_d * scale)
+        den *= pd ** dmax
+    return nums, den

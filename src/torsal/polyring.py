@@ -588,13 +588,7 @@ class Polynomial:
     def evaluate(self, point) -> Fraction:
         """Exact value at a rational point: one int or Fraction per context
         variable (TypeError for any other entry)."""
-        point = list(point)
-        if len(point) != len(self.context):
-            raise ValueError(
-                f"point has {len(point)} entries, context has {len(self.context)}"
-            )
-        pairs = [_coeff_pair(x) for x in point]
-        return Fraction(*K.terms_eval(self._terms, pairs))
+        return Fraction(*K.terms_eval(self._terms, _point_pairs(self.context, point)))
 
     def homogenize(self, new_var: str, degree: int | None = None) -> "Polynomial":
         """Homogenize to `degree` with `new_var` prepended to the context."""
@@ -648,6 +642,34 @@ class Polynomial:
             )
         # the key layout depends on the number of variables only
         return Polynomial._make(ctx, self._terms)
+
+
+def _point_pairs(context, point) -> list:
+    """The (num, den) pairs of a rational point of context; ValueError for
+    the wrong length, TypeError for an entry not int or Fraction."""
+    point = list(point)
+    if len(point) != len(context):
+        raise ValueError(
+            f"point has {len(point)} entries, context has {len(context)}"
+        )
+    return [_coeff_pair(x) for x in point]
+
+
+def evaluate_many(polys, point) -> tuple:
+    """(nums, den): the values of one or more polynomials over one context
+    at one rational point, polys[j] at point being nums[j] / den.
+
+    The ints share one positive denominator (not reduced), so a rank or a
+    zero test can use nums alone. The point is checked as in
+    Polynomial.evaluate; polynomials over different contexts raise
+    ContextMismatchError.
+    """
+    first = polys[0]
+    for f in polys:
+        if f.context is not first.context:
+            first._check_context(f)
+    pairs = _point_pairs(first.context, point)
+    return K.terms_eval_many([f._terms for f in polys], pairs)
 
 
 def _exact_quotient(x, d):

@@ -138,16 +138,21 @@ def change_polynomial_coordinates(f: Polynomial, m: FrameMatrix) -> Polynomial:
 
 
 def rank(matrix) -> int:
-    """Exact rank of a rational matrix of any shape.
+    """Exact rank of a rational matrix of any shape: int or Fraction
+    entries (TypeError for any other).
 
-    Rows are cleared to integers, so the fraction-free elimination runs
-    on ints and divides exactly.
+    A row with a Fraction in it is cleared to integers and an int row is
+    taken as it is, so the fraction-free elimination runs on ints and
+    divides exactly.
     """
     rows = []
     for r in matrix:
-        r = [_frac(x) for x in r]
-        scale = lcm(*(x.denominator for x in r)) if r else 1
-        rows.append([x.numerator * (scale // x.denominator) for x in r])
+        r = list(r)
+        if not all(isinstance(x, int) for x in r):
+            r = [_frac(x) for x in r]
+            scale = lcm(*(x.denominator for x in r))
+            r = [x.numerator * (scale // x.denominator) for x in r]
+        rows.append(r)
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
     return len(eliminate(rows)[1])

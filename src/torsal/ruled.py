@@ -9,7 +9,10 @@ Rank convention: the rank of a projective map is computed as
 rank([Jacobian | image vector]) - 1 at a sample point. The generic rank
 is the maximum over SAMPLE_COUNT seeded rational points; lower-rank loci
 are proper closed subsets, so the max attains the generic value unless
-every sample lands in a measure-zero set.
+every sample lands in a measure-zero set. Each sample evaluates the whole
+matrix in one integer pass, as ints over one positive denominator, and
+takes the rank of those ints: a nonzero common scale leaves a rank as it
+is, so no entry becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from torsal.polyring import (
     VarContext,
     discriminant,
     eliminate,
+    evaluate_many,
     primitive_part,
     sylvester_resultant,
 )
@@ -167,25 +171,30 @@ def generic_rank(gi, seed: int = DEFAULT_SEED) -> int:
     """Generic rank of the projectivized map: max over seeded samples of
     rank([Jacobian | image]) - 1.
 
+    The matrix of Polynomials is built once; each sample evaluates all its
+    entries in one integer pass (``evaluate_many``), which returns them as
+    ints over one positive common denominator. Those int rows go to
+    ``rank`` as they are: scaling a matrix by a nonzero constant leaves
+    its rank alone, and an entry is zero exactly when its numerator is.
     Samples with a zero image vector (base locus) are skipped; if every
     sample lands there, BaseLocusError advises retrying with a new seed.
     """
     import random  # only gauss-rank samples; other CLI calls need not load it
 
-    comps = gi.components
     params = gi.params
-    jac = jacobian(gi)
+    width = len(params) + 1
+    # row i of [J | image]: the partials of component i, then component i
+    entries = [
+        e for jrow, c in zip(jacobian(gi), gi.components) for e in (*jrow, c)
+    ]
     rng = random.Random(seed)
     best = None
     for _ in range(SAMPLE_COUNT):
         point = _sample_point(rng, len(params))
-        image = [c.evaluate(point) for c in comps]
-        if not any(image):
+        values, _ = evaluate_many(entries, point)
+        rows = [values[i:i + width] for i in range(0, len(values), width)]
+        if not any(row[-1] for row in rows):
             continue
-        rows = [
-            [entry.evaluate(point) for entry in jrow] + [img]
-            for jrow, img in zip(jac, image)
-        ]
         r = rank(rows) - 1
         best = r if best is None else max(best, r)
     if best is None:

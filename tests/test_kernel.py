@@ -225,6 +225,39 @@ class TestAgainstFractionOracle:
             point = [(v.numerator, v.denominator) for v in vals]
             assert Fraction(*impl.terms_eval(pack(ctx, a), point)) == ref_eval(a, vals)
 
+    def test_eval_many_shares_one_positive_denominator(self, impl):
+        # several dicts at one point: rational coefficients of different
+        # denominators, integer ones, empty and constant dicts, and
+        # coordinates that are zero or negative
+        rng = random.Random(2323)
+        seen = {"empty": 0, "constant": 0, "zero": 0, "negative": 0}
+        for _ in range(500):
+            nvars = rng.randint(1, 4)
+            ctx = context(nvars)
+            refs = []
+            for _ in range(rng.randint(1, 5)):
+                roll = rng.random()
+                if roll < 0.15:
+                    refs.append({})
+                elif roll < 0.3:
+                    refs.append({(0,) * nvars: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))})
+                else:
+                    refs.append(random_reference(
+                        rng, nvars, max_terms=5, max_exp=3, integer=roll < 0.5
+                    ))
+            vals = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(nvars)]
+            point = [(v.numerator, v.denominator) for v in vals]
+            nums, den = impl.terms_eval_many([pack(ctx, r) for r in refs], point)
+            assert den > 0 and all(type(n) is int for n in nums)
+            assert [Fraction(n, den) for n in nums] == [ref_eval(r, vals) for r in refs]
+            seen["empty"] += {} in refs
+            seen["constant"] += any(list(r) == [(0,) * nvars] for r in refs)
+            seen["zero"] += 0 in vals
+            seen["negative"] += any(v < 0 for v in vals)
+        assert min(seen.values()) > 100, seen
+        assert impl.terms_eval_many([], [(1, 2)]) == ([], 1)
+        assert impl.terms_eval_many([{}, {}], [(1, 2), (3, 4)]) == ([0, 0], 1)
+
     def test_pow_matches_repeated_mul(self, impl):
         draws = cases(23, 16, max_terms=6, max_exp=3)
         bases = [(nvars, draw()) for _, _, nvars, draw in draws]

@@ -22,6 +22,7 @@ from torsal.polyring import (
     content,
     discriminant,
     equal_up_to_scalar,
+    evaluate_many,
     format_polynomial,
     primitive_part,
     sylvester_resultant,
@@ -191,6 +192,27 @@ class TestSubstitution:
         for bad in (0.1, "1/3", Decimal("0.1")):
             with pytest.raises(TypeError, match=type(bad).__name__):
                 f.evaluate([bad, 1])
+
+    def test_evaluate_many_keeps_evaluates_checks(self, rand_poly):
+        rng = random.Random(62)
+        ctx = VarContext(["x", "y", "z"])
+        for _ in range(25):
+            polys = [rand_poly(rng, ctx) for _ in range(rng.randint(1, 4))]
+            point = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+            nums, den = evaluate_many(polys, point)
+            assert den > 0
+            assert [Fraction(n, den) for n in nums] == [f.evaluate(point) for f in polys]
+        x, y = VarContext(["x", "y"]).variables()
+        f = 3 * x * y - y / 2
+        with pytest.raises(ValueError, match="point has 3 entries, context has 2"):
+            evaluate_many([f, x], [1, 2, 3])
+        for bad in (0.1, "1/3", Decimal("0.1")):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                evaluate_many([f, x], [bad, 1])
+        # an equal context built apart is the same ring; another is not
+        assert evaluate_many([f, VarContext(["x", "y"]).variable("y")], [2, 5]) == ([55, 10], 2)
+        with pytest.raises(ContextMismatchError):
+            evaluate_many([f, VarContext(["x", "z"]).variable("x")], [2, 5])
 
     def test_missing_assignment(self):
         ctx = VarContext(["x", "y"])

@@ -249,6 +249,37 @@ class TestRank:
             ]
             assert rank(product) == brute_rank(product)
 
+    def test_int_fraction_and_mixed_rows_agree(self):
+        # an int row is eliminated as it is, a row with a Fraction is
+        # cleared first; scaling a row by a nonzero rational keeps the rank
+        rng = random.Random(82)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            ints = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:
+                ints[-1] = [2 * x - y for x, y in zip(ints[0], ints[1 % (nrows - 1)])]
+            want = brute_rank(ints)
+            copy = [list(row) for row in ints]
+            fracs = [[Fraction(x, 1) for x in row] for row in ints]
+            mixed = [
+                [Fraction(x) if rng.random() < 0.5 else x for x in row] for row in ints
+            ]
+            scaled = [
+                [Fraction(x, d) for x in row] if rng.random() < 0.5 else row
+                for row in ints
+                for d in (rng.randint(2, 9),)
+            ]
+            for m in (ints, fracs, mixed, scaled):
+                assert rank(m) == want
+            assert ints == copy
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, "3", None])
+    def test_entry_not_int_or_fraction_is_a_type_error(self, bad):
+        message = f"rational entry expected, got {type(bad).__name__}"
+        for row in ([bad, 1], [1, bad], [Fraction(1, 2), bad]):
+            with pytest.raises(TypeError, match=message):
+                rank([[1, 2], row])
+
 
 def brute_rank(matrix):
     m = [[Fraction(e) for e in row] for row in matrix]

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from test_projgeom import brute_rank
 from torsal import catalog, projgeom, ruled
 from torsal.errors import (
+    BaseLocusError,
     DegreeError,
     NotContainedError,
     SingularPointError,
@@ -114,6 +116,143 @@ class TestGaussRank:
         # d(t^2)/dt = 2t in the last component
         t = pm.context.variable("t")
         assert rows[4][0] == 2 * t
+
+
+def fraction_generic_rank(gi, seed=DEFAULT_SEED):
+    """generic_rank with every entry evaluated alone to a Fraction: the
+    reference for the one integer matrix per sample. It draws its points
+    from ruled._sample_point, so a patched sampler reaches both."""
+    jac = jacobian(gi)
+    rng = random.Random(seed)
+    best = None
+    for _ in range(SAMPLE_COUNT):
+        point = ruled._sample_point(rng, len(gi.params))
+        image = [c.evaluate(point) for c in gi.components]
+        if not any(image):
+            continue
+        rows = [
+            [entry.evaluate(point) for entry in jrow] + [img]
+            for jrow, img in zip(jac, image)
+        ]
+        r = brute_rank(rows) - 1
+        best = r if best is None else max(best, r)
+    if best is None:
+        raise BaseLocusError(seed)
+    return best
+
+
+def random_rational_map(rng, ctx):
+    """Five random polynomials with coefficients of denominators up to 9.
+
+    One map in five is one point of P^4 times a moving scale (rank 0),
+    one in four involves the first parameter only (rank at most 1), and
+    one in four has the factor u in every component (a base locus)."""
+    def poly(nvars):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(
+                rng.randint(0, 2) if i < nvars else 0 for i in range(len(ctx))
+            )
+            terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 9))
+        return Polynomial(ctx, terms)
+
+    roll = rng.random()
+    if roll < 0.2:
+        g = poly(len(ctx))
+        comps = [g * Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(5)]
+    else:
+        comps = [poly(1 if roll < 0.45 else len(ctx)) for _ in range(5)]
+    if rng.random() < 0.25:
+        u = ctx.variable("u")
+        comps = [c * u for c in comps]
+    if not any(comps):
+        comps[0] = Polynomial.one(ctx)
+    return ParamMap(comps)
+
+
+def rank_outcome(rank_fn, gi, seed):
+    """The rank, or the BaseLocusError message."""
+    try:
+        return rank_fn(gi, seed)
+    except BaseLocusError as exc:
+        return str(exc)
+
+
+class TestGaussRankAgainstFractions:
+    """generic_rank evaluates [J | image] once per sample to ints over one
+    denominator; the Fraction-per-entry reference must agree everywhere."""
+
+    def test_cli_session_maps_on_300_seeds(self, bourgain):
+        # the three maps of the benchmark's gauss-rank calls
+        cases = [
+            (bourgain, ruling_map()),
+            (catalog.hypersurface("cylinder-control"), cylinder_map()),
+            (catalog.hypersurface("quadric-control"), quadric_map()),
+        ]
+        for h, pm in cases:
+            gi = gauss_map(h, pm)
+            for seed in range(300):
+                assert generic_rank(gi, seed) == fraction_generic_rank(gi, seed), seed
+
+    def test_seeded_rational_maps(self):
+        rng = random.Random(2121)
+        ranks = set()
+        for seed in range(300):
+            ctx = VarContext(["p", "u", "v"][: rng.randint(2, 3)])
+            pm = random_rational_map(rng, ctx)
+            want = rank_outcome(fraction_generic_rank, pm, seed)
+            assert rank_outcome(generic_rank, pm, seed) == want, seed
+            ranks.add(want)
+        assert ranks >= {0, 1, 2, 3}
+
+    def test_every_sample_on_the_base_locus(self, monkeypatch):
+        # u = 0 at every sample, and every component has the factor u
+        sample = ruled._sample_point
+        monkeypatch.setattr(
+            ruled, "_sample_point", lambda rng, n: [sample(rng, n)[0], 0, 1][:n]
+        )
+        rng = random.Random(2222)
+        u = VarContext(["p", "u", "v"]).variable("u")
+        for seed in range(20):
+            pm = random_rational_map(rng, u.context)
+            pm = ParamMap([c * u for c in pm.components])
+            with pytest.raises(BaseLocusError) as want:
+                fraction_generic_rank(pm, seed)
+            with pytest.raises(BaseLocusError) as got:
+                generic_rank(pm, seed)
+            assert str(got.value) == str(want.value) and got.value.seed == seed
+
+    def test_some_samples_on_the_base_locus(self, monkeypatch):
+        # u = 0 at about half the samples: those are skipped, the rest
+        # decide; the coin comes from the seeded rng, so both see one set
+        sample = ruled._sample_point
+
+        def sometimes_on_the_locus(rng, n):
+            point = sample(rng, n)
+            if rng.random() < 0.5:
+                point[1] = 0
+            return point
+
+        monkeypatch.setattr(ruled, "_sample_point", sometimes_on_the_locus)
+        u = ruling_map().context.variable("u")
+        gi = ParamMap([c * u for c in gauss_map(
+            catalog.hypersurface("bourgain"), ruling_map()).components])
+        for seed in range(30):
+            want = rank_outcome(fraction_generic_rank, gi, seed)
+            assert rank_outcome(generic_rank, gi, seed) == want, seed
+
+    def test_no_entry_is_evaluated_alone(self, bourgain, monkeypatch):
+        calls = []
+        evaluate = Polynomial.evaluate
+
+        def counting_evaluate(self, point):
+            calls.append(None)
+            return evaluate(self, point)
+
+        gi = gauss_map(bourgain, ruling_map())
+        monkeypatch.setattr(Polynomial, "evaluate", counting_evaluate)
+        assert generic_rank(gi) == 2
+        assert calls == []
 
 
 class TestEnvelope:
