@@ -11,9 +11,11 @@ product, scaling, power and exact quotient clears its operands to ints
 (_cleared), runs one int loop (_mul_ints; _pow_ints, the one power loop,
 whose products are _mul_ints; _exact_div_ints, the one division loop,
 which finds the divisor's lead and borrow mask itself) and divides by
-one denominator at the end (_pairs). The subresultant PRS of
-torsal.polyring calls those int loops directly and builds pairs only for
-its result. Evaluation has one loop too, terms_eval_many: several dicts
+one denominator at the end (_pairs). The int-dict subresultant PRS of
+torsal.polyring, which resultants of sparse or wide-coefficient inputs
+take, calls those int loops directly and builds pairs only for its
+result; dense inputs take its Kronecker path, which packs each
+coefficient into one int and calls none of them. Evaluation has one loop too, terms_eval_many: several dicts
 at one point, as ints over one common denominator; terms_eval reduces its
 single result to lowest terms.
 

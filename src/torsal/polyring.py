@@ -35,15 +35,33 @@ Algebraic Number Theory", Alg. 3.3.7, without content removal): each
 pseudo-remainder is divided exactly by g*h^delta and each new h is
 g^delta divided exactly by h^(delta-1). The number of ring operations
 grows polynomially in the degrees, where cofactor expansion of the
-matrix grows factorially. The sequence runs on integer term dicts, one
-denominator per input: f = F/df and g = G/dg are cleared once, F and G
-split into one int dict per power of the variable, and Res(f, g) =
-Res(F, G) / (df^n * dg^m) with m = deg f and n = deg g. Its products,
-powers and quotients are the kernel's int loops (_mul_ints, _pow_ints,
-_exact_div_ints), the ones behind Polynomial's ** and exact_div.
+matrix grows factorially. One denominator per input: f = F/df and
+g = G/dg are cleared once, F and G split into one integer coefficient
+per power of the variable, and Res(f, g) = Res(F, G) / (df^n * dg^m)
+with m = deg f and n = deg g. Cohen's loop is written once and runs on
+one of two representations of those coefficients:
+
+* Kronecker (Fateman, "Can you save time in multiplying polynomials by
+  encoding them as integers?", 2005): when every coefficient of F is
+  homogeneous of one degree in the remaining variables, and likewise
+  for G, the resultant is homogeneous of a known degree D. The last
+  remaining variable is dropped, the others go to X, X^(D+1), ... with
+  X = 2^B, and each coefficient becomes one int, so each product and
+  exact quotient of the sequence is one big-int operation. B bounds
+  every coefficient the sequence keeps: each Sylvester row has l1 norm
+  ||F||_1 or ||G||_1, so a minor's coefficients are at most
+  ||F||_1^n * ||G||_1^m. The result's signed base-2^B digits are
+  unpacked, and the dropped exponent is D less the others. It is taken
+  when the inputs are dense and B, times the slots per monomial of the
+  result, is small (_kronecker_layout has the measured limits).
+* Int dicts, for every other input: the kernel's int loops (_mul_ints,
+  _pow_ints, _exact_div_ints), the ones behind Polynomial's ** and
+  exact_div. Each product and power checks the degree guard first, as
+  Polynomial's * and ** do.
+
 Every quotient of the sequence is a subresultant, integral over the
-integers, so one that is not raises InexactDivisionError. Each product
-and power checks the degree guard first, as Polynomial's * and ** do.
+integers, so one that is not raises InexactDivisionError. Both
+representations give the same Polynomial.
 
 Linear algebra: ``eliminate`` is the one elimination, fraction-free
 Gauss-Jordan (Bareiss 1968) with exact division by the previous pivot.
@@ -67,7 +85,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd
+from math import comb, gcd
 
 from torsal import _kernel as K
 from torsal._record import Record
@@ -819,6 +837,216 @@ def _pseudo_remainder(a, b, shift):
     return r
 
 
+class _IntDicts:
+    """The ring of the int-dict PRS: coefficients are int dicts whose keys
+    hold their degree above bit ``shift``."""
+
+    one = {0: 1}
+
+    def __init__(self, shift):
+        self.shift = shift
+
+    def mul(self, a, b):
+        return _int_product(a, b, self.shift)
+
+    def pow(self, a, e):
+        return _int_power(a, e, self.shift)
+
+    def div(self, a, b):
+        return _int_quotient(a, b)
+
+    def prem(self, a, b):
+        return _pseudo_remainder(a, b, self.shift)
+
+
+def _packed_quotient(a, b):
+    """a / b for ints, b nonzero; InexactDivisionError unless b divides a."""
+    q, m = divmod(a, b)
+    if m:
+        raise InexactDivisionError(
+            "exact division of packed coefficients leaves a remainder"
+        )
+    return q
+
+
+def _packed_pseudo_remainder(a, b):
+    """_pseudo_remainder on lists of ints, each int one packed coefficient."""
+    lead, rest = b[-1], b[:-1]
+    r = list(a)
+    steps = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        top = r.pop()
+        k = len(r) - len(rest)
+        r = [lead * c for c in r]
+        for j, y in enumerate(rest):
+            r[k + j] -= top * y
+        steps -= 1
+        while r and not r[-1]:
+            r.pop()
+    if steps and r:
+        scale = lead ** steps
+        r = [c * scale for c in r]
+    return r
+
+
+class _Packed:
+    """The ring of the Kronecker PRS: each coefficient is one int."""
+
+    one = 1
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def pow(a, e):
+        return a ** e
+
+    div = staticmethod(_packed_quotient)
+    prem = staticmethod(_packed_pseudo_remainder)
+
+
+def _subresultant_prs(a, b, ring):
+    """(res, s) with Res(A, B) = (-1)^s * res, for coefficient lists a and
+    b of A and B (constant term first, len(a) >= len(b) >= 2) over
+    ``ring``; None when the resultant is zero.
+
+    Cohen's Alg. 3.3.7: each pseudo-remainder is divided exactly by
+    g*h^delta, and each new h is g^delta divided exactly by h^(delta-1).
+    """
+    flips = 0
+    one = ring.one
+    lead = h = one  # Cohen's g and h
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        flips += (len(a) - 1) * (len(b) - 1)
+        r = ring.prem(a, b)
+        if not r:
+            return None
+        divisor = ring.mul(lead, ring.pow(h, delta))
+        if divisor != one:
+            r = [ring.div(c, divisor) for c in r]
+        a, b = b, r
+        lead = a[-1]
+        if delta == 1:
+            h = lead
+        elif delta > 1:
+            h = ring.div(ring.pow(lead, delta), ring.pow(h, delta - 1))
+    d = len(a) - 1
+    res = b[0]
+    if d != 1:
+        res = ring.div(ring.pow(res, d), ring.pow(h, d - 1))
+    return res, flips
+
+
+# The Kronecker path's limits, from timings of both paths on seeded dense
+# families (Python 3.11, one process). Each of F and G holds at least
+# 1/_DENSITY of its box: the Kronecker path was 2.7x to 16x faster down
+# to about a fifth, the sparsest filling measured. With k packed
+# variables, a slot of B bits and (D+1)^k slots for the comb(D+k, k)
+# monomials of the result, B * (D+1)^k stays within
+# _SLOT_BITS[k - 1] * comb(D+k, k): the measured break-even of that
+# product was about 550 for k = 1 and 2 and about 300 for k = 3, at
+# every degree tried, and k = 4 lost on every input measured.
+_DENSITY = 5
+_SLOT_BITS = (512, 512, 256)
+
+
+def _homogeneous_degree(terms, s, top):
+    """The one degree of every term of a cleared int dict in the variables
+    other than the one whose field is at bit s, or None."""
+    degrees = {(key >> top) - ((key >> s) & MASK) for key in terms}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def _kronecker_layout(F, G, m, n, context, var):
+    """(packed, last, D, bits) when F and G suit the Kronecker path, else
+    None: packed holds (field shift, slot weight in bits) per packed
+    variable, last is the field shift of the dropped variable (0 with no
+    variable left beside var, where D is 0), D the degree of the
+    resultant in the remaining variables and bits the width of a slot.
+
+    Selection: every var-coefficient of F is homogeneous of one degree dF
+    in the remaining variables, and of one dG for G; each of F and G has
+    at least 1/_DENSITY of the monomials of its box (degree in var by
+    that degree in the remaining variables); (max(m, n) + 2) * D stays
+    below DEGREE_LIMIT, which bounds the degree of every product of the
+    int-dict PRS too, so neither path can raise DegreeError; and the
+    packed ints stay within _SLOT_BITS.
+    """
+    top = context._degree_shift
+    i = context.index(var)
+    s = context._shifts[i]
+    dF = _homogeneous_degree(F, s, top)
+    dG = _homogeneous_degree(G, s, top)
+    if dF is None or dG is None:
+        return None
+    D = n * dF + m * dG
+    if (max(m, n) + 2) * D >= DEGREE_LIMIT:
+        return None
+    r = len(context) - 1
+    for terms, degree, delta in ((F, m, dF), (G, n, dG)):
+        box = (degree + 1) * (comb(delta + r - 1, r - 1) if r else 1)
+        if _DENSITY * len(terms) < box:
+            return None
+    shifts = [t for j, t in enumerate(context._shifts) if j != i]
+    last = shifts.pop() if shifts else 0
+    k = len(shifts)
+    if k > len(_SLOT_BITS):
+        return None
+    # each result coefficient is at most the product of the Sylvester rows'
+    # l1 norms, ||F||^n * ||G||^m, in absolute value, and so is every
+    # subresultant coefficient the sequence keeps: signed slots of B bits
+    # hold it with room to spare
+    norm = sum(map(abs, F.values())) ** n * sum(map(abs, G.values())) ** m
+    bits = (2 * norm).bit_length() + 1
+    if k and bits * (D + 1) ** k > _SLOT_BITS[k - 1] * comb(D + k, k):
+        return None
+    # variable j of the packed ones goes to X^((D+1)^j), X = 2^bits
+    return [(t, (D + 1) ** j * bits) for j, t in enumerate(shifts)], last, D, bits
+
+
+def _pack(bucket, packed):
+    """One int for a var-coefficient: each monomial's coefficient shifted
+    into its slot (with no packed variable, the one coefficient itself)."""
+    total = 0
+    for key, c in bucket.items():
+        at = 0
+        for t, weight in packed:
+            at += ((key >> t) & MASK) * weight
+        total += c << at
+    return total
+
+
+def _unpack(value, layout, shift):
+    """The int dict of a packed result: the signed base-2^bits digits of
+    value, each at its slot's monomial, the last remaining variable
+    raised to D less the others' degrees."""
+    packed, last, D, bits = layout
+    head = D << shift
+    base = D + 1
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    out = {}
+    slot = 0
+    while value:
+        digit = value & mask
+        value >>= bits
+        if digit >= half:
+            digit -= 1 << bits
+            value += 1
+        if digit:
+            key, rest, index = head, D, slot
+            for t, _ in packed:
+                e = index % base
+                index //= base
+                key |= e << t
+                rest -= e
+            out[key | rest << last] = digit
+        slot += 1
+    return out
+
+
 def sylvester_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """Resultant of f and g with respect to `var`.
 
@@ -839,36 +1067,26 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     F, df = K._cleared(f._terms)
     G, dg = K._cleared(g._terms)
     den = df ** n * dg ** m
-    sign = 1
+    flips = 0
     if m < n:  # Res(f, g) = (-1)^(mn) Res(g, f)
         F, G, m, n = G, F, n, m
-        sign = -1 if m * n % 2 else 1
+        flips = m * n
     a = _by_power(F, context, var, m)
     b = _by_power(G, context, var, n)
-    one = {0: 1}
-    lead = h = one  # Cohen's g and h
-    while len(b) > 1:
-        delta = len(a) - len(b)
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            sign = -sign
-        r = _pseudo_remainder(a, b, shift)
-        if not r:
-            return Polynomial.zero(context)
-        divisor = _int_product(lead, _int_power(h, delta, shift), shift)
-        if divisor != one:
-            r = [_int_quotient(c, divisor) for c in r]
-        a, b = b, r
-        lead = a[-1]
-        if delta == 1:
-            h = lead
-        elif delta > 1:
-            h = _int_quotient(
-                _int_power(lead, delta, shift), _int_power(h, delta - 1, shift)
-            )
-    d = len(a) - 1
-    res = b[0]
-    if d != 1:
-        res = _int_quotient(_int_power(res, d, shift), _int_power(h, d - 1, shift))
+    layout = _kronecker_layout(F, G, m, n, context, var)
+    if layout is None:
+        out = _subresultant_prs(a, b, _IntDicts(shift))
+    else:
+        packed = layout[0]
+        out = _subresultant_prs(
+            [_pack(c, packed) for c in a], [_pack(c, packed) for c in b], _Packed
+        )
+    if out is None:
+        return Polynomial.zero(context)
+    res, more = out
+    if layout is not None:
+        res = _unpack(res, layout, shift)
+    sign = -1 if (flips + more) % 2 else 1
     return Polynomial._make(context, K._pairs(res, sign, den))
 
 

@@ -206,11 +206,15 @@ def generic_rank(gi, seed: int = DEFAULT_SEED) -> int:
 
 
 def envelope(lf: LineFamily) -> Polynomial:
-    """Envelope of the family: discriminant in the parameter.
+    """A polynomial in the plane coordinates that vanishes on the envelope.
 
-    The quadratic case is primary; higher degrees fall back to the
-    resultant of (f, df/dparam) with integer content removed. Families
-    of degree < 2 in the parameter have no envelope (DegreeError).
+    Degree 2 in the parameter: the discriminant b^2 - 4*a*c. Degree
+    d >= 3: the primitive part of Res_param(f, df/dparam), which is
+    +-lc(f) * Disc(f), lc(f) the coefficient of param^d. So it is the
+    discriminant times the member line at param = infinity, a factor
+    that is not part of the envelope; it has degree 2d - 1 where the
+    discriminant has 2d - 2. Families of degree < 2 in the parameter
+    have no envelope (DegreeError).
     """
     var = lf.param
     f = lf.f

@@ -3,6 +3,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -719,21 +720,31 @@ class TestResultantAgainstSylvesterDeterminant:
         # run as soon as it passes the bound
         calls = []
 
-        def counted(original):
+        def counted(name, original):
             def call(*args):
-                calls.append(original.__name__)
+                calls.append(name)
                 assert len(calls) < 2000, "envelope work is not polynomial"
                 return original(*args)
             return call
 
         for name in ("_mul_ints", "_exact_div_ints"):
-            monkeypatch.setattr(_kernel, name, counted(getattr(_kernel, name)))
-        envelope(dense_line_family(random.Random(76), 8))
-        # the subresultant PRS of the degree-8 family on int dicts: 126
+            monkeypatch.setattr(_kernel, name, counted(name, getattr(_kernel, name)))
+        monkeypatch.setattr(polyring._Packed, "prem",
+                            staticmethod(counted("prem", polyring._Packed.prem)))
+        lf = dense_line_family(random.Random(76), 8)
+        # coefficients of 2^40 and more widen the packed slots past the
+        # selector's limit, so this family takes the int-dict PRS: 126
         # products (those inside powers included, and each of the two in
         # one pseudo-remainder coefficient) and 21 exact divisions
+        envelope(LineFamily(lf.f * (1 << 40), "p"))
         assert calls.count("_mul_ints") <= 126
         assert 0 < calls.count("_exact_div_ints") <= 21
+        assert "prem" not in calls
+        calls.clear()
+        # the family itself takes the Kronecker path: one pseudo-remainder
+        # per degree step of the normal sequence, 8 and 7 down to 1
+        envelope(lf)
+        assert calls == ["prem"] * 7
 
 
 def polynomial_pseudo_remainder(a, b):
@@ -904,6 +915,111 @@ class TestIntegerPRSDifferential:
             with pytest.raises(ContextMismatchError):
                 resultant(x + y, VarContext(["x", "y", "z"]).variable("y"), "y")
         assert sylvester_resultant(wide * y + 1, y - 1, "y") == -wide - 1
+
+    @pytest.fixture
+    def path(self, monkeypatch):
+        """The representations the PRS ran on, one per resultant."""
+        ran = []
+        original = polyring._subresultant_prs
+
+        def spy(a, b, ring):
+            ran.append("kronecker" if ring is polyring._Packed else "int dicts")
+            return original(a, b, ring)
+
+        monkeypatch.setattr(polyring, "_subresultant_prs", spy)
+        return ran
+
+    def check(self, f, g, var="p"):
+        """sylvester_resultant(f, g) equals the oracle, and is returned."""
+        got = sylvester_resultant(f, g, var)
+        want = polynomial_resultant(f, g, var)
+        assert got._terms == want._terms and str(got) == str(want), (f, g)
+        return got
+
+    def test_kronecker_cases_match_the_polynomial_prs(self, path):
+        rng = random.Random(2222)
+        for degree in (3, 4, 5, 6):
+            # rational coefficients, both orders: the sign of the swap
+            f = dense_in_p(rng, 3, degree, 1, rational=True)
+            g = dense_in_p(rng, 3, degree - rng.randint(1, 2), 1, rational=True)
+            swap = (-1) ** (f.degree_in("p") * g.degree_in("p"))
+            assert self.check(f, g) == swap * self.check(g, f)
+            # a common factor homogeneous in the plane: the resultant is 0
+            ctx = f.context
+            p, z1, z2, _ = ctx.variables()
+            factor = p * z1 - rng.randint(1, 5) * z2
+            assert self.check(f * factor, dense_in_p(rng, 3, 2, 1) * factor) == 0
+        # a univariate pair, and one with a single plane variable: no packing
+        x = VarContext(["x"]).variable("x")
+        self.check(3 * x ** 5 - x ** 3 + 7 * x - 2, 4 * x ** 3 + 5 * x ** 2 - 9, "x")
+        self.check(dense_in_p(rng, 1, 5, 2), dense_in_p(rng, 1, 3, 4))
+        # a coefficient near the slot bound: the sequence ends on +16,
+        # against ||F||_1 * ||G||_1 = 17
+        p, y = VarContext(["p", "y"]).variables()
+        assert self.check(p * y, p * y - 16 * y) == -16 * y ** 2
+        # homogeneous of degree 2 and 3 in 2 plane variables, of degree 1
+        # in 4 plane variables (3 packed)
+        self.check(dense_in_p(rng, 2, 4, 2), dense_in_p(rng, 2, 3, 3))
+        self.check(dense_in_p(rng, 4, 3, 1), dense_in_p(rng, 4, 2, 1))
+        assert path == ["kronecker"] * 17
+
+    def test_each_selector_condition_picks_its_path(self, path):
+        rng = random.Random(2323)
+        ctx = VarContext(["p", "z1", "z2", "z3"])
+        p, z1, z2, z3 = ctx.variables()
+        f = dense_in_p(rng, 3, 4, 1)
+        g = f.partial_derivative("p")
+        cases = [
+            # every p-coefficient homogeneous of one degree in the plane
+            (f, g, "kronecker"),
+            (f + 1, g, "int dicts"),
+            # at least a fifth of the box: 3 of the 15 monomials of
+            # p^0..p^4 times z1, z2, z3, and 3 of the 12 for degree 3
+            (p ** 4 * z1 + p * z2 - z3, p ** 3 * z1 + p ** 2 * z2 + z3, "kronecker"),
+            (p ** 4 * z1 - z3, p ** 3 * z1 + p ** 2 * z2 + z3, "int dicts"),
+            # slots of B bits: coefficients of 2^100 widen them past the limit
+            (f, g * (1 << 5), "kronecker"),
+            (f, g * (1 << 100), "int dicts"),
+            # at most 3 packed variables: 4 plane variables pack 3, 5 pack 4
+            # (slots narrow enough for the limit of 3)
+            (dense_in_p(rng, 4, 3, 1), dense_in_p(rng, 4, 2, 1), "kronecker"),
+            (dense_in_p(rng, 5, 2, 1), dense_in_p(rng, 5, 1, 1), "int dicts"),
+        ]
+        # (max(m, n) + 2) * D below DEGREE_LIMIT, D = n*dF + m*dG = 3*2^k
+        y = VarContext(["p", "y"]).variable("y")
+        q = y.context.variable("p")
+        for k, ran in ((27, "kronecker"), (29, "int dicts")):
+            cases.append(((q ** 2 - 3 * q + 1) * y ** 2 ** k, (2 * q + 5) * y ** 2 ** k, ran))
+        for f, g, ran in cases:
+            path.clear()
+            self.check(f, g)
+            assert path == [ran], (f, g)
+
+    def test_sparse_family_stays_on_int_dicts(self, path):
+        # its packed box would hold about 4 * 10^6 slots of some 11,550
+        # bits each; the selector refuses it on density alone
+        p, z1, z2, z3 = VarContext(["p", "z1", "z2", "z3"]).variables()
+        family = LineFamily(p ** 1000 * z1 + p * z2 - z3, "p")
+        env = envelope(family)
+        assert path == ["int dicts"]
+        f = family.f
+        assert env == primitive_part(polynomial_resultant(f, f.partial_derivative("p"), "p"))
+
+
+def dense_in_p(rng, plane, degree, delta, rational=False):
+    """Exact degree `degree` in p, every monomial of degree `delta` in
+    `plane` plane variables at every power of p, nonzero coefficients of
+    at most 4 bits (over 1..4 when rational)."""
+    ctx = VarContext(["p"] + [f"z{i}" for i in range(1, plane + 1)])
+    terms = {}
+    for k in range(degree + 1):
+        for mono in combinations_with_replacement(range(plane), delta):
+            exps = [k] + [0] * plane
+            for j in mono:
+                exps[1 + j] += 1
+            num = rng.choice([-1, 1]) * rng.randint(1, 15)
+            terms[tuple(exps)] = Fraction(num, rng.randint(1, 4)) if rational else num
+    return Polynomial(ctx, terms)
 
 
 def repeated_int_power(a, e):
