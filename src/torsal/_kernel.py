@@ -11,12 +11,12 @@ product, scaling, power and exact quotient clears its operands to ints
 (_cleared), runs one int loop (_mul_ints; _pow_ints, the one power loop,
 whose products are _mul_ints; _exact_div_ints, the one division loop,
 which finds the divisor's lead and borrow mask itself) and divides by
-one denominator at the end (_pairs). The int-dict subresultant PRS of
-torsal.polyring, which resultants of sparse or wide-coefficient inputs
-take, calls those int loops directly and builds pairs only for its
-result; dense inputs take its Kronecker path, which packs each
-coefficient into one int and calls none of them. Evaluation has one loop too, terms_eval_many: several dicts
-at one point, as ints over one common denominator; terms_eval reduces its
+one denominator at the end (_pairs). The subresultant PRS of
+torsal.polyring reaches those loops through Polynomial's *, ** and
+exact_div on sparse or wide-coefficient inputs; dense inputs take its
+Kronecker path, which packs each coefficient into one int and calls none
+of them. Evaluation has one loop too, terms_eval_many: several dicts at
+one point, as ints over one common denominator; terms_eval reduces its
 single result to lowest terms.
 
 A key packs an exponent vector (e0, ..., e_{n-1}) of total degree deg
@@ -179,14 +179,13 @@ def _mul_cleared(a, b):
     return _pairs(_mul_ints(a, b), 1, da * db)
 
 
-def _mul_ints(a, b, out=None):
-    """Add the product of the int dicts a and b into out and return it.
+def _mul_ints(a, b):
+    """The product of the int dicts a and b, a new dict.
 
-    out is a new dict when None. Cancelled keys stay as zeros; the caller
-    drops them in its one pass over the result.
+    Cancelled keys stay as zeros; the caller drops them in its one pass
+    over the result.
     """
-    if out is None:
-        out = {}
+    out = {}
     get = out.get
     b = list(b.items())
     for k1, n1 in a.items():

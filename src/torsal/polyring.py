@@ -38,8 +38,9 @@ grows polynomially in the degrees, where cofactor expansion of the
 matrix grows factorially. One denominator per input: f = F/df and
 g = G/dg are cleared once, F and G split into one integer coefficient
 per power of the variable, and Res(f, g) = Res(F, G) / (df^n * dg^m)
-with m = deg f and n = deg g. Cohen's loop is written once and runs on
-one of two representations of those coefficients:
+with m = deg f and n = deg g. Cohen's loop and its pseudo-remainder are
+written once, for any coefficient ring with *, - and **, and run on one
+of two representations of those coefficients:
 
 * Kronecker (Fateman, "Can you save time in multiplying polynomials by
   encoding them as integers?", 2005): when every coefficient of F is
@@ -54,10 +55,10 @@ one of two representations of those coefficients:
   unpacked, and the dropped exponent is D less the others. It is taken
   when the inputs are dense and B, times the slots per monomial of the
   result, is small (_kronecker_layout has the measured limits).
-* Int dicts, for every other input: the kernel's int loops (_mul_ints,
-  _pow_ints, _exact_div_ints), the ones behind Polynomial's ** and
-  exact_div. Each product and power checks the degree guard first, as
-  Polynomial's * and ** do.
+* Polynomials with integer coefficients, for every other input: the
+  sequence's products, powers and exact quotients are Polynomial's *, **
+  and exact_div, so the kernel's integer loops run and the degree guard
+  is Polynomial's own.
 
 Every quotient of the sequence is a subresultant, integral over the
 integers, so one that is not raises InexactDivisionError. Both
@@ -690,15 +691,27 @@ def evaluate_many(polys, point) -> tuple:
     return K.terms_eval_many([f._terms for f in polys], pairs)
 
 
+def _exact_int_quotient(x, d):
+    """x / d for ints, d nonzero; InexactDivisionError unless d divides x.
+
+    The message gives sizes, not values: an int past the interpreter's
+    digit limit cannot be printed in decimal.
+    """
+    q, r = divmod(x, d)
+    if r:
+        raise InexactDivisionError(
+            f"a {x.bit_length()}-bit integer is not a multiple of a "
+            f"{d.bit_length()}-bit one"
+        )
+    return q
+
+
 def _exact_quotient(x, d):
     """x / d where d is known to divide x: never a rounded or floored value."""
     if isinstance(x, Polynomial):
         return x.exact_div(d)
     if isinstance(x, int) and isinstance(d, int):
-        q, r = divmod(x, d)
-        if r:
-            raise InexactDivisionError(f"{x} is not a multiple of {d}")
-        return q
+        return _exact_int_quotient(x, d)
     return x / d
 
 
@@ -771,115 +784,25 @@ def det_over_ring(rows):
     return sign * rows[n - 1][n - 1]
 
 
-def _int_product(a, b, shift):
-    """a * b for nonzero int dicts whose keys have their degree above bit
-    ``shift``; DegreeError where Polynomial.__mul__ raises it."""
-    _degree_guard((max(a) >> shift) + (max(b) >> shift), "product")
-    return {key: n for key, n in K._mul_ints(a, b).items() if n}
-
-
-def _int_power(a, e, shift):
-    """a**e for a nonzero int dict and an int e >= 0 (the kernel's
-    _pow_ints); DegreeError where Polynomial.__pow__ raises it."""
-    _degree_guard((max(a) >> shift) * e, "power")
-    if e <= 1:
-        return a if e else {0: 1}
-    return {key: n for key, n in K._pow_ints(a, e).items() if n}
-
-
-def _int_quotient(a, b):
-    """a / b for int dicts, b nonzero, when b divides a with an integral
-    quotient; InexactDivisionError otherwise, never a rounded value."""
-    q = K._exact_div_ints(a, b)
-    if q is None:
-        raise InexactDivisionError(
-            "exact division leaves a quotient that is not integral"
-        )
-    return q
-
-
-def _pseudo_remainder(a, b, shift):
+def _pseudo_remainder(a, b):
     """R with lc(b)^(deg a - deg b + 1) * a = Q*b + R and deg R < deg b.
 
     a, b and R are coefficient lists in one variable, constant term first,
-    each coefficient an int dict, with a nonzero last entry (R is [] when
-    it is zero); len(a) >= len(b). Keys hold their degree above bit
-    ``shift``, which the degree guard of each product reads.
+    over any ring whose elements have *, -, ** and truthiness (zero is
+    falsy), with a nonzero last entry (R is [] when it is zero);
+    len(a) >= len(b).
     """
     lead, rest = b[-1], b[:-1]
-    lead_degree = max(lead) >> shift
     r = list(a)
     steps = len(a) - len(b) + 1
     while len(r) >= len(b):
-        # r <- lead * r - top * x^k * b; the top coefficients cancel, and
-        # both products of one coefficient accumulate into one dict
+        # r <- lead * r - top * x^k * b; the top coefficients cancel
         top = r.pop()
-        top_degree = max(top) >> shift
-        minus_top = {key: -n for key, n in top.items()}
         k = len(r) - len(rest)
-        for i, c in enumerate(r):
-            out = None
+        r = [c * lead if c else c for c in r]
+        for j, c in enumerate(rest):
             if c:
-                _degree_guard(lead_degree + (max(c) >> shift), "product")
-                out = K._mul_ints(lead, c)
-            y = rest[i - k] if i >= k else None
-            if y:
-                _degree_guard(top_degree + (max(y) >> shift), "product")
-                out = K._mul_ints(minus_top, y, out)
-            if out is not None:
-                r[i] = {key: n for key, n in out.items() if n}
-        steps -= 1
-        while r and not r[-1]:
-            r.pop()
-    if steps and r:
-        scale = _int_power(lead, steps, shift)
-        r = [_int_product(c, scale, shift) if c else c for c in r]
-    return r
-
-
-class _IntDicts:
-    """The ring of the int-dict PRS: coefficients are int dicts whose keys
-    hold their degree above bit ``shift``."""
-
-    one = {0: 1}
-
-    def __init__(self, shift):
-        self.shift = shift
-
-    def mul(self, a, b):
-        return _int_product(a, b, self.shift)
-
-    def pow(self, a, e):
-        return _int_power(a, e, self.shift)
-
-    def div(self, a, b):
-        return _int_quotient(a, b)
-
-    def prem(self, a, b):
-        return _pseudo_remainder(a, b, self.shift)
-
-
-def _packed_quotient(a, b):
-    """a / b for ints, b nonzero; InexactDivisionError unless b divides a."""
-    q, m = divmod(a, b)
-    if m:
-        raise InexactDivisionError(
-            "exact division of packed coefficients leaves a remainder"
-        )
-    return q
-
-
-def _packed_pseudo_remainder(a, b):
-    """_pseudo_remainder on lists of ints, each int one packed coefficient."""
-    lead, rest = b[-1], b[:-1]
-    r = list(a)
-    steps = len(a) - len(b) + 1
-    while len(r) >= len(b):
-        top = r.pop()
-        k = len(r) - len(rest)
-        r = [lead * c for c in r]
-        for j, y in enumerate(rest):
-            r[k + j] -= top * y
+                r[k + j] = r[k + j] - top * c
         steps -= 1
         while r and not r[-1]:
             r.pop()
@@ -889,53 +812,37 @@ def _packed_pseudo_remainder(a, b):
     return r
 
 
-class _Packed:
-    """The ring of the Kronecker PRS: each coefficient is one int."""
-
-    one = 1
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def pow(a, e):
-        return a ** e
-
-    div = staticmethod(_packed_quotient)
-    prem = staticmethod(_packed_pseudo_remainder)
-
-
-def _subresultant_prs(a, b, ring):
+def _subresultant_prs(a, b, div):
     """(res, s) with Res(A, B) = (-1)^s * res, for coefficient lists a and
-    b of A and B (constant term first, len(a) >= len(b) >= 2) over
-    ``ring``; None when the resultant is zero.
+    b of A and B (constant term first, len(a) >= len(b) >= 2) over a ring
+    as in _pseudo_remainder, with div(x, y) the exact quotient x / y;
+    None when the resultant is zero.
 
     Cohen's Alg. 3.3.7: each pseudo-remainder is divided exactly by
     g*h^delta, and each new h is g^delta divided exactly by h^(delta-1).
     """
     flips = 0
-    one = ring.one
+    one = b[-1] ** 0
     lead = h = one  # Cohen's g and h
     while len(b) > 1:
         delta = len(a) - len(b)
         flips += (len(a) - 1) * (len(b) - 1)
-        r = ring.prem(a, b)
+        r = _pseudo_remainder(a, b)
         if not r:
             return None
-        divisor = ring.mul(lead, ring.pow(h, delta))
+        divisor = lead * h ** delta
         if divisor != one:
-            r = [ring.div(c, divisor) for c in r]
+            r = [div(c, divisor) for c in r]
         a, b = b, r
         lead = a[-1]
         if delta == 1:
             h = lead
         elif delta > 1:
-            h = ring.div(ring.pow(lead, delta), ring.pow(h, delta - 1))
+            h = div(lead ** delta, h ** (delta - 1))
     d = len(a) - 1
     res = b[0]
     if d != 1:
-        res = ring.div(ring.pow(res, d), ring.pow(h, d - 1))
+        res = div(res ** d, h ** (d - 1))
     return res, flips
 
 
@@ -971,7 +878,7 @@ def _kronecker_layout(F, G, m, n, context, var):
     at least 1/_DENSITY of the monomials of its box (degree in var by
     that degree in the remaining variables); (max(m, n) + 2) * D stays
     below DEGREE_LIMIT, which bounds the degree of every product of the
-    int-dict PRS too, so neither path can raise DegreeError; and the
+    Polynomial PRS too, so neither path can raise DegreeError; and the
     packed ints stay within _SLOT_BITS.
     """
     top = context._degree_shift
@@ -1062,7 +969,6 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     if n < 1:
         raise DegreeError(f"second input has degree {n} in {var!r}; need >= 1")
     context = f.context
-    shift = context._degree_shift
     # f = F/df and g = G/dg, so Res(f, g) = Res(F, G) / (df^n * dg^m)
     F, df = K._cleared(f._terms)
     G, dg = K._cleared(g._terms)
@@ -1071,22 +977,27 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     if m < n:  # Res(f, g) = (-1)^(mn) Res(g, f)
         F, G, m, n = G, F, n, m
         flips = m * n
-    a = _by_power(F, context, var, m)
-    b = _by_power(G, context, var, n)
     layout = _kronecker_layout(F, G, m, n, context, var)
     if layout is None:
-        out = _subresultant_prs(a, b, _IntDicts(shift))
+        def coefficient(c):
+            return Polynomial._make(context, K._pairs(c, 1, 1))
+        div = Polynomial.exact_div
     else:
-        packed = layout[0]
-        out = _subresultant_prs(
-            [_pack(c, packed) for c in a], [_pack(c, packed) for c in b], _Packed
-        )
+        def coefficient(c):
+            return _pack(c, layout[0])
+        div = _exact_int_quotient
+    out = _subresultant_prs(
+        [coefficient(c) for c in _by_power(F, context, var, m)],
+        [coefficient(c) for c in _by_power(G, context, var, n)],
+        div,
+    )
     if out is None:
         return Polynomial.zero(context)
     res, more = out
-    if layout is not None:
-        res = _unpack(res, layout, shift)
     sign = -1 if (flips + more) % 2 else 1
+    if layout is None:
+        return res * Fraction(sign, den)
+    res = _unpack(res, layout, context._degree_shift)
     return Polynomial._make(context, K._pairs(res, sign, den))
 
 

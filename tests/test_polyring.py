@@ -606,6 +606,14 @@ class TestExactDivision:
         with pytest.raises(ContextMismatchError):
             x.exact_div(VarContext(["x"]).variable("x"))
 
+    def test_int_quotient_past_the_digit_limit(self):
+        # eliminate's and the packed PRS's one int quotient; its message
+        # gives sizes, as an int of more digits than the interpreter's
+        # limit for printing one (4,300 by default) cannot be printed
+        with pytest.raises(InexactDivisionError, match="bit"):
+            polyring._exact_quotient(10 ** 5000 + 1, 10 ** 4999)
+        assert polyring._exact_quotient(10 ** 5000, 10 ** 4999) == 10
+
 
 def det_fraction(rows):
     """Determinant of a rational matrix by Gaussian elimination."""
@@ -665,8 +673,25 @@ def dense_line_family(rng, degree):
     return LineFamily(Polynomial(ctx, terms), "p")
 
 
+@pytest.fixture
+def path(monkeypatch):
+    """The representations the PRS ran on, one per resultant, told apart
+    by the exact quotient sylvester_resultant passes it."""
+    ran = []
+    original = polyring._subresultant_prs
+    names = {polyring._exact_int_quotient: "kronecker",
+             Polynomial.exact_div: "polynomials"}
+
+    def spy(a, b, div):
+        ran.append(names[div])
+        return original(a, b, div)
+
+    monkeypatch.setattr(polyring, "_subresultant_prs", spy)
+    return ran
+
+
 class TestResultantAgainstSylvesterDeterminant:
-    def test_random_pairs_at_rational_points(self):
+    def test_random_pairs_at_rational_points(self, path):
         rng = random.Random(73)
         ctx = VarContext(["x", "a", "b"])
         for _ in range(40):
@@ -677,6 +702,21 @@ class TestResultantAgainstSylvesterDeterminant:
                 point = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                                for _ in range(2)]
                 assert res.evaluate(point) == numeric_sylvester(f, g, "x", point)
+        assert "polynomials" in path
+        path.clear()
+        # dense pairs homogeneous in the plane variables take the Kronecker
+        # path, and meet the Sylvester determinant exactly, not up to a ratio
+        for _ in range(30):
+            plane = rng.randint(1, 3)
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            f = dense_in_p(rng, plane, m, rng.randint(1, 2), rational=rng.random() < 0.5)
+            g = dense_in_p(rng, plane, n, rng.randint(1, 2), rational=rng.random() < 0.5)
+            res = sylvester_resultant(f, g, "p")
+            for _ in range(3):
+                point = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                               for _ in range(plane)]
+                assert res.evaluate(point) == numeric_sylvester(f, g, "p", point)
+        assert path == ["kronecker"] * 30
 
     def test_degree_one_inputs_and_swapped_arguments(self):
         ctx = VarContext(["x", "a", "b", "c"])
@@ -720,36 +760,43 @@ class TestResultantAgainstSylvesterDeterminant:
         # run as soon as it passes the bound
         calls = []
 
-        def counted(name, original):
+        def counted(name, original, products=lambda *args: 1):
             def call(*args):
-                calls.append(name)
+                calls.extend([name] * products(*args))
                 assert len(calls) < 2000, "envelope work is not polynomial"
                 return original(*args)
             return call
 
-        for name in ("_mul_ints", "_exact_div_ints"):
-            monkeypatch.setattr(_kernel, name, counted(name, getattr(_kernel, name)))
-        monkeypatch.setattr(polyring._Packed, "prem",
-                            staticmethod(counted("prem", polyring._Packed.prem)))
+        # a power a**e is the e - 1 products of the kernel's power loop;
+        # terms_pow returns 1 or a itself for e = 0 or 1
+        monkeypatch.setattr(_kernel, "terms_pow", counted(
+            "product", _kernel.terms_pow, lambda a, e: max(e - 1, 0)))
+        monkeypatch.setattr(_kernel, "terms_mul", counted("product", _kernel.terms_mul))
+        monkeypatch.setattr(_kernel, "terms_exact_div",
+                            counted("division", _kernel.terms_exact_div))
+        monkeypatch.setattr(polyring, "_pseudo_remainder",
+                            counted("prem", polyring._pseudo_remainder))
         lf = dense_line_family(random.Random(76), 8)
         # coefficients of 2^40 and more widen the packed slots past the
-        # selector's limit, so this family takes the int-dict PRS: 126
-        # products (those inside powers included, and each of the two in
-        # one pseudo-remainder coefficient) and 21 exact divisions
+        # selector's limit, so this family takes the PRS on Polynomials:
+        # 126 products (those inside powers included, and each of the two
+        # in one pseudo-remainder coefficient) and 21 exact divisions, over
+        # the same 7 pseudo-remainders as below
         envelope(LineFamily(lf.f * (1 << 40), "p"))
-        assert calls.count("_mul_ints") <= 126
-        assert 0 < calls.count("_exact_div_ints") <= 21
-        assert "prem" not in calls
+        assert calls.count("product") <= 126
+        assert 0 < calls.count("division") <= 21
+        assert calls.count("prem") == 7
         calls.clear()
         # the family itself takes the Kronecker path: one pseudo-remainder
-        # per degree step of the normal sequence, 8 and 7 down to 1
+        # per degree step of the normal sequence, 8 and 7 down to 1, and
+        # no term-dict work
         envelope(lf)
         assert calls == ["prem"] * 7
 
 
 def polynomial_pseudo_remainder(a, b):
-    """The Polynomial-level pseudo-remainder the integer PRS replaced,
-    kept as the oracle of TestIntegerPRSDifferential."""
+    """The pseudo-remainder on Polynomial coefficients, written out again
+    for the oracle of TestIntegerPRSDifferential."""
     lead, rest = b[-1], b[:-1]
     r = list(a)
     steps = len(a) - len(b) + 1
@@ -770,8 +817,9 @@ def polynomial_pseudo_remainder(a, b):
 
 
 def polynomial_resultant(f, g, var):
-    """The subresultant PRS on Polynomial coefficients that
-    sylvester_resultant ran before it moved to int dicts; the oracle."""
+    """The subresultant PRS on the Polynomial coefficients of f and g as
+    given, rational ones included, with nothing packed or cleared: the
+    oracle of TestIntegerPRSDifferential."""
     f._check_context(g)
     m = f.degree_in(var)
     n = g.degree_in(var)
@@ -836,7 +884,8 @@ def sparse_in_x(rng, ctx, degree, rational):
 
 
 class TestIntegerPRSDifferential:
-    """sylvester_resultant on int dicts against the Polynomial-level PRS."""
+    """sylvester_resultant, on packed ints or on Polynomials cleared to
+    integer coefficients, against the PRS on the inputs as given."""
 
     SHAPES = ("dense family", "sparse", "rational", "swapped", "common factor",
               "var inside", "huge", "wide")
@@ -870,22 +919,23 @@ class TestIntegerPRSDifferential:
         return f, g, "x"
 
     def test_seeded_pairs_match_the_polynomial_prs(self, monkeypatch):
-        # record the powers the PRS takes of polynomials with several
-        # terms, so the delta > 1 branches are seen to run
+        # record the powers sylvester_resultant takes of polynomials with
+        # several terms, so the delta > 1 branches are seen to run
         powers = []
-        original = polyring._int_power
+        original = Polynomial.__pow__
 
-        def counted(a, e, shift):
-            powers.append(e if len(a) > 1 else 0)
-            return original(a, e, shift)
+        def counted(a, e):
+            powers.append(e if a.term_count() > 1 else 0)
+            return original(a, e)
 
-        monkeypatch.setattr(polyring, "_int_power", counted)
         rng = random.Random(1919)
         seen = {"zero": 0, "nonzero": 0, DegreeError: 0}
         for case in range(320):
             shape = self.SHAPES[case % len(self.SHAPES)]
             f, g, var = self.draw(rng, shape)
-            got = outcome(sylvester_resultant, f, g, var)
+            with monkeypatch.context() as spying:
+                spying.setattr(Polynomial, "__pow__", counted)
+                got = outcome(sylvester_resultant, f, g, var)
             want = outcome(polynomial_resultant, f, g, var)
             assert got == want, (shape, case, f, g)
             if isinstance(got, Polynomial):
@@ -915,19 +965,6 @@ class TestIntegerPRSDifferential:
             with pytest.raises(ContextMismatchError):
                 resultant(x + y, VarContext(["x", "y", "z"]).variable("y"), "y")
         assert sylvester_resultant(wide * y + 1, y - 1, "y") == -wide - 1
-
-    @pytest.fixture
-    def path(self, monkeypatch):
-        """The representations the PRS ran on, one per resultant."""
-        ran = []
-        original = polyring._subresultant_prs
-
-        def spy(a, b, ring):
-            ran.append("kronecker" if ring is polyring._Packed else "int dicts")
-            return original(a, b, ring)
-
-        monkeypatch.setattr(polyring, "_subresultant_prs", spy)
-        return ran
 
     def check(self, f, g, var="p"):
         """sylvester_resultant(f, g) equals the oracle, and is returned."""
@@ -972,36 +1009,36 @@ class TestIntegerPRSDifferential:
         cases = [
             # every p-coefficient homogeneous of one degree in the plane
             (f, g, "kronecker"),
-            (f + 1, g, "int dicts"),
+            (f + 1, g, "polynomials"),
             # at least a fifth of the box: 3 of the 15 monomials of
             # p^0..p^4 times z1, z2, z3, and 3 of the 12 for degree 3
             (p ** 4 * z1 + p * z2 - z3, p ** 3 * z1 + p ** 2 * z2 + z3, "kronecker"),
-            (p ** 4 * z1 - z3, p ** 3 * z1 + p ** 2 * z2 + z3, "int dicts"),
+            (p ** 4 * z1 - z3, p ** 3 * z1 + p ** 2 * z2 + z3, "polynomials"),
             # slots of B bits: coefficients of 2^100 widen them past the limit
             (f, g * (1 << 5), "kronecker"),
-            (f, g * (1 << 100), "int dicts"),
+            (f, g * (1 << 100), "polynomials"),
             # at most 3 packed variables: 4 plane variables pack 3, 5 pack 4
             # (slots narrow enough for the limit of 3)
             (dense_in_p(rng, 4, 3, 1), dense_in_p(rng, 4, 2, 1), "kronecker"),
-            (dense_in_p(rng, 5, 2, 1), dense_in_p(rng, 5, 1, 1), "int dicts"),
+            (dense_in_p(rng, 5, 2, 1), dense_in_p(rng, 5, 1, 1), "polynomials"),
         ]
         # (max(m, n) + 2) * D below DEGREE_LIMIT, D = n*dF + m*dG = 3*2^k
         y = VarContext(["p", "y"]).variable("y")
         q = y.context.variable("p")
-        for k, ran in ((27, "kronecker"), (29, "int dicts")):
+        for k, ran in ((27, "kronecker"), (29, "polynomials")):
             cases.append(((q ** 2 - 3 * q + 1) * y ** 2 ** k, (2 * q + 5) * y ** 2 ** k, ran))
         for f, g, ran in cases:
             path.clear()
             self.check(f, g)
             assert path == [ran], (f, g)
 
-    def test_sparse_family_stays_on_int_dicts(self, path):
+    def test_sparse_family_stays_on_polynomials(self, path):
         # its packed box would hold about 4 * 10^6 slots of some 11,550
         # bits each; the selector refuses it on density alone
         p, z1, z2, z3 = VarContext(["p", "z1", "z2", "z3"]).variables()
         family = LineFamily(p ** 1000 * z1 + p * z2 - z3, "p")
         env = envelope(family)
-        assert path == ["int dicts"]
+        assert path == ["polynomials"]
         f = family.f
         assert env == primitive_part(polynomial_resultant(f, f.partial_derivative("p"), "p"))
 
@@ -1031,8 +1068,14 @@ def repeated_int_power(a, e):
     return {key: n for key, (n, _) in out.items()}
 
 
+def int_loop_power(a, e):
+    """_kernel._pow_ints(a, e), e >= 1, with its cancelled keys dropped."""
+    return {key: n for key, n in _kernel._pow_ints(a, e).items() if n}
+
+
 class TestIntegerPower:
-    """The PRS's powers, polyring._int_power, against repeated products."""
+    """The one power loop, _kernel._pow_ints, and Polynomial.__pow__ on
+    integer polynomials, against repeated products."""
 
     def test_seeded_powers_match_repeated_multiplication(self):
         rng = random.Random(2121)
@@ -1047,9 +1090,12 @@ class TestIntegerPower:
                 f = f * ((1 << 64) + 1)
             a, _ = _kernel._cleared(f._terms)
             e = rng.randint(0, 9)
-            got = polyring._int_power(a, e, ctx._degree_shift)
-            assert got == repeated_int_power(a, e), (f, e)
-            assert all(got.values())
+            want = repeated_int_power(a, e)
+            if e:
+                assert int_loop_power(a, e) == want, (f, e)
+            got = (f ** e)._terms
+            assert got == {key: (n, 1) for key, n in want.items()}, (f, e)
+            assert all(n for n, _ in got.values())
             assert a == _kernel._cleared(f._terms)[0]
 
     def test_cancelling_terms_are_dropped(self):
@@ -1060,9 +1106,10 @@ class TestIntegerPower:
         for f in (x ** 2 + 2 * x * y - 2 * y ** 2, x ** 3 + x ** 2 + 2 * x * y - 2 * y ** 2):
             a, _ = _kernel._cleared(f._terms)
             for e in range(2, 6):
-                got = polyring._int_power(a, e, ctx._degree_shift)
-                assert got == repeated_int_power(a, e)
-                assert Polynomial._make(ctx, {k: (n, 1) for k, n in got.items()}) == f ** e
+                want = repeated_int_power(a, e)
+                assert int_loop_power(a, e) == want
+                assert (f ** e)._terms == {k: (n, 1) for k, n in want.items()}
+                assert Polynomial._make(ctx, {k: (n, 1) for k, n in want.items()}) == f ** e
 
     def test_degree_error_at_the_limit(self):
         ctx = VarContext(["x", "y"])
@@ -1074,18 +1121,16 @@ class TestIntegerPower:
                         (2 * x ** (d + 1), False)):
             a, _ = _kernel._cleared(f._terms)
             if fits:
-                got = polyring._int_power(a, 3, shift)
-                assert got == repeated_int_power(a, 3)
+                got = (f ** 3)._terms
+                assert got == {k: (n, 1) for k, n in repeated_int_power(a, 3).items()}
                 assert max(got) >> shift == _kernel.DEGREE_LIMIT - 1
-                assert (f ** 3)._terms == {k: (n, 1) for k, n in got.items()}
+                assert int_loop_power(a, 3) == repeated_int_power(a, 3)
             else:
                 with pytest.raises(DegreeError):
-                    polyring._int_power(a, 3, shift)
-                with pytest.raises(DegreeError):
                     f ** 3
-        big, _ = _kernel._cleared((x ** (d + 1) + y)._terms)
-        assert polyring._int_power(big, 0, shift) == {0: 1}
-        assert polyring._int_power(big, 1, shift) is big
+        big = x ** (d + 1) + y
+        assert big ** 0 == 1
+        assert (big ** 1)._terms is big._terms
 
 
 def make_nonconstant(rng, ctx):
