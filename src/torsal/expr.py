@@ -1,4 +1,5 @@
-"""Polynomial expression parsing: tokenizer, one recursive descent, two builders.
+"""Polynomial expression parsing: tokenizer, one recursive descent, two
+builders, and a reader of canonical text ahead of them.
 
 Grammar (whitespace-insensitive, no implicit multiplication, no division):
 
@@ -34,6 +35,16 @@ packing limit) is read again by the grammar as an AST subtree and
 evaluated with to_polynomial, in text order, only after the whole text
 has parsed: every syntax error is raised before any evaluation, and no
 power is expanded before the text is known to be well formed.
+
+Canonical text: parse_polynomial first hands the text to _canonical, a
+recognizer for the language format_polynomial writes with int
+coefficients (terms joined by " + " or " - ", each a number, or a
+number and factors 'name' or 'name^nat' joined by '*'). It splits the
+text on spaces and on '*' with str.split and folds each term into the
+term dict as _Terms would, with no token list. It accepts no text the
+grammar reads differently and declines every other text, which the
+descent then reads from the start: results, errors and byte offsets are
+the descent's own.
 
 Errors: ExprSyntaxError carries the byte offset of the offending input,
 computed only when an error is raised, by scanning again for the
@@ -288,6 +299,19 @@ class _Nodes:
 _FOLD_BITS = 4096
 
 
+def _add_int(out, key, n):
+    """Add the int n at `key` of a term dict: add_into's rules, on ints."""
+    cur = out.get(key)
+    if cur is None:
+        out[key] = (n, 1)
+    else:
+        s = cur[0] + n
+        if s:
+            out[key] = (s, 1)
+        else:
+            del out[key]
+
+
 class _Terms:
     """The term builder: the terms of the top-level expr, in one term dict.
 
@@ -319,17 +343,8 @@ class _Terms:
             self.deferred.append((sign, p.term()))
             return
         p.pos, coefficient, key = folded
-        if coefficient:  # add_into's rules, on int coefficients
-            out = self.out
-            cur = out.get(key)
-            if cur is None:
-                out[key] = (coefficient, 1)
-            else:
-                s = cur[0] + coefficient
-                if s:
-                    out[key] = (s, 1)
-                else:
-                    del out[key]
+        if coefficient:
+            _add_int(self.out, key, coefficient)
 
     def fold(self, toks, pos, coefficient):
         """(next pos, coefficient, key) of the term at `pos`, or None."""
@@ -390,6 +405,103 @@ class _Terms:
         return value
 
 
+def _factor(text, units):
+    """(e, e * unit) of a factor 'name' or 'name^nat' of the context, or None."""
+    name, caret, exponent = text.partition("^")
+    unit = units.get(name)
+    if unit is None:
+        return None
+    if not caret:
+        return 1, unit
+    if not exponent.isdigit():  # '^' on nothing, or 'x^2^3'
+        return None
+    try:
+        e = int(exponent)
+    except ValueError:  # past the digit limit
+        return None
+    return e, e * unit
+
+
+def _canonical(text: str, context: VarContext):
+    """The term dict of canonical text with int coefficients, or None.
+
+    Accepts the language format_polynomial writes: terms joined by exactly
+    " + " or " - ", the first perhaps behind '-', each term a nat or
+    ``[nat '*'] factor ('*' factor)*`` with factor 'name' or 'name^nat'
+    and every name in the context. It reads that text by str.split, term
+    by term, with no tokens. Anything else (an unknown name, a group, any
+    other whitespace, '/', '^' on a number, 'x^2^3', an empty term, a
+    term with more '*' than the context has variables, a number past the
+    digit limit, a degree at DEGREE_LIMIT) gives None and is left to the
+    descent, so every error is still the descent's own.
+
+    The leading '-' follows the grammar's precedence, unary minus tighter
+    than '^': it negates a leading number, and on a leading variable it
+    is (-v)^e, so the sign flips only when e is odd ("-x^2*y" is x^2*y).
+    Should unary minus come to bind looser than '^' (ROADMAP item 6),
+    this rule changes with the grammar.
+    """
+    if not text.isascii():  # so str.isdigit means 0-9 below
+        return None
+    parts = text.split(" ")
+    if not len(parts) & 1:
+        return None
+    signs = [1]
+    for op in parts[1::2]:
+        if op == "+":
+            signs.append(1)
+        elif op == "-":
+            signs.append(-1)
+        else:
+            return None
+    units = context._units
+    factors = {}  # factor text -> (e, e * unit), for the text at hand
+    if parts[0][:1] == "-":
+        parts[0] = parts[0][1:]
+        head = parts[0].partition("*")[0]
+        if head.isdigit():
+            signs[0] = -1
+        else:
+            f = factors[head] = _factor(head, units)
+            if f is None:
+                return None
+            signs[0] = -1 if f[0] & 1 else 1  # (-v)^e is v^e for even e
+    limit = DEGREE_LIMIT << context._degree_shift
+    # a canonical term is a number and one factor per variable at most, so
+    # a longer one (say, all of a text written without spaces) is split
+    # no further than that before it is declined
+    most = len(units)
+    out = {}
+    for sign, term in zip(signs, parts[::2]):
+        pieces = term.split("*", most)
+        head = pieces[0]
+        if head.isdigit():
+            try:
+                coefficient = int(head)
+            except ValueError:  # past the digit limit
+                return None
+            del pieces[0]
+            if sign < 0:
+                coefficient = -coefficient
+        else:
+            coefficient = sign
+        key = 0
+        for piece in pieces:
+            f = factors.get(piece)
+            if f is None:
+                f = factors[piece] = _factor(piece, units)
+                if f is None:
+                    return None
+            key += f[1]
+        # a field overflows into the next only once the degree field, on
+        # top, reads at least DEGREE_LIMIT
+        if key >= limit:
+            return None
+        if coefficient:
+            _add_int(out, key, coefficient)
+    return out
+
+
 def parse(text: str) -> Node:
     """Parse expression text to an AST; ExprSyntaxError on bad input."""
     nodes = _Nodes()
@@ -442,13 +554,18 @@ def to_polynomial(node: Node, context: VarContext) -> Polynomial:
 def parse_polynomial(text: str, context: VarContext) -> Polynomial:
     """Parse expression text straight into a polynomial of `context`.
 
-    One descent with the term builder (_Terms): the common terms fold
-    into one term dict as they are read, and no node or per-term
-    Polynomial is built for them. Only once the whole text has parsed,
+    Canonical text with int coefficients, the form every command prints,
+    is read term by term by _canonical, with no tokens and no descent.
+    Text it declines gets one descent with the term builder (_Terms):
+    the common terms fold into one term dict as they are read, and no
+    node or per-term Polynomial is built for them. Only once the whole text has parsed,
     so after every syntax error, are the deferred terms evaluated with
     to_polynomial, in text order, and added in. The result, or the
     error raised, is that of ``to_polynomial(parse(text), context)``.
     """
+    out = _canonical(text, context)
+    if out is not None:
+        return Polynomial._make(context, out)
     terms = _Terms(context)
     _Parser(text).read(terms)
     out = terms.out

@@ -733,6 +733,13 @@ def eliminate(rows):
     Returns (sign, pivot columns): sign is -1 after an odd number of row
     swaps, and the number of pivot columns is the rank.
     """
+    # ints stay ints under the update, so an int matrix takes the int
+    # division throughout
+    exact = (
+        _exact_int_quotient
+        if all(isinstance(x, int) for row in rows for x in row)
+        else _exact_quotient
+    )
     sign, pivots, prev = 1, [], 1
     for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
@@ -757,7 +764,7 @@ def eliminate(rows):
                     x = pv * x
                 else:
                     continue
-                row[j] = x if unit else _exact_quotient(x, prev)
+                row[j] = x if unit else exact(x, prev)
         prev = pv
         pivots.append(col)
         if len(pivots) == len(rows):

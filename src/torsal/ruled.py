@@ -178,6 +178,8 @@ def generic_rank(gi, seed: int = DEFAULT_SEED) -> int:
     its rank alone, and an entry is zero exactly when its numerator is.
     Samples with a zero image vector (base locus) are skipped; if every
     sample lands there, BaseLocusError advises retrying with a new seed.
+    Sampling stops at the first sample whose [J | image] has full rank,
+    min(rows, columns): no later sample could give more.
     """
     import random  # only gauss-rank samples; other CLI calls need not load it
 
@@ -187,6 +189,7 @@ def generic_rank(gi, seed: int = DEFAULT_SEED) -> int:
     entries = [
         e for jrow, c in zip(jacobian(gi), gi.components) for e in (*jrow, c)
     ]
+    top = min(len(gi.components), width) - 1
     rng = random.Random(seed)
     best = None
     for _ in range(SAMPLE_COUNT):
@@ -197,6 +200,8 @@ def generic_rank(gi, seed: int = DEFAULT_SEED) -> int:
             continue
         r = rank(rows) - 1
         best = r if best is None else max(best, r)
+        if best == top:
+            break
     if best is None:
         raise BaseLocusError(seed)
     return best

@@ -1,9 +1,11 @@
 """Expression grammar: parsing, round-trips, and byte-offset errors."""
 
+import json
 import random
 import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,7 @@ from torsal.expr import (
 from torsal.polyring import Polynomial, VarContext, format_polynomial, format_rational
 
 XY = VarContext(["x", "y"])
+EXPECTED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "expected_cli.json"
 
 
 class TestBasics:
@@ -619,6 +622,176 @@ class TestTermBuilder:
         monkeypatch.setattr(Polynomial, "_make", classmethod(counting_make))
         assert parse_polynomial(text, ctx) == f
         assert calls["to_polynomial"] == 0 and calls["_make"] <= 2
+
+
+# -- the canonical-text reader ahead of the descent ----------------------------
+
+_NAMES = ["x", "y", "z1", "lam", "_t", "Z0", "u2v", "p"]
+
+
+def random_int_polynomial(rng, ctx, max_exp):
+    """A polynomial with int coefficients: none, one or up to 12 terms, with
+    one-digit and 30-digit coefficients and some exponents of 10 or more."""
+    terms = {}
+    for _ in range(rng.choice([0, 1, rng.randint(1, 12)])):
+        exps = tuple(
+            rng.choice([0, 0, 1, 2, 3, rng.randint(0, max_exp)]) for _ in range(len(ctx))
+        )
+        coef = rng.choice([1, -1, rng.randint(-9, 9), rng.randint(-10 ** 30, 10 ** 30)])
+        terms[exps] = terms.get(exps, 0) + coef
+    return Polynomial(ctx, {e: c for e, c in terms.items() if c})
+
+
+class _NoDescent:
+    def __init__(self, text):
+        raise AssertionError(f"the descent read {text!r}")
+
+
+def leading_factor_exponent(text):
+    """The exponent of the first variable factor of canonical text, or None."""
+    head = text.lstrip("-").split(" ")[0].split("*")
+    head = [f for f in head if not f.isdigit()]
+    return int(head[0].partition("^")[2] or 1) if head else None
+
+
+class TestCanonicalReader:
+    def test_formatted_polynomials_are_read_without_the_descent(self, monkeypatch):
+        rng = random.Random(232323)
+        cases = []
+        for _ in range(800):
+            ctx = VarContext(rng.sample(_NAMES, rng.randint(1, 6)))
+            f = random_int_polynomial(rng, ctx, max_exp=150)
+            if rng.random() < 0.3:
+                # a new leading term -m, so a leading '-' meets odd and even
+                # first exponents
+                d = f.total_degree() + 1 if f else rng.randint(1, 4)
+                exps = [0] * len(ctx)
+                for _ in range(d):
+                    exps[rng.randrange(len(ctx))] += 1
+                f = f - Polynomial(ctx, {tuple(exps): rng.choice([1, 1, 12])})
+            cases.append((format_polynomial(f), ctx, f))
+        limit = sys.get_int_max_str_digits()
+        x, y = XY.variables()
+        at_limit = 10 ** (limit - 1) * x ** 2 - y
+        cases.append((format_polynomial(at_limit), XY, at_limit))
+        seen = {"zero": 0, "constant": 0, "odd": 0, "even": 0, "digits": 0, "exponent": 0}
+        monkeypatch.setattr(expr, "_Parser", _NoDescent)
+        for text, ctx, f in cases:
+            assert parse_polynomial(text, ctx) == f, repr(text)
+            seen["zero"] += text == "0"
+            seen["constant"] += f.is_constant() and text != "0"
+            if text[0] == "-" and f.total_degree():
+                seen["odd" if leading_factor_exponent(text) & 1 else "even"] += 1
+            seen["digits"] += re.search(r"(^|[ *-])[0-9]{2,}\*", text) is not None
+            seen["exponent"] += re.search(r"\^[0-9]{2,}", text) is not None
+        assert len(format_polynomial(at_limit).split("*")[0]) == limit
+        assert min(seen.values()) > 10, seen
+
+    @pytest.mark.parametrize(
+        "text,terms",
+        [
+            ("-x^2*y", {3 << 64 | 2 << 32 | 1: (1, 1)}),
+            ("-x^3*y", {4 << 64 | 3 << 32 | 1: (-1, 1)}),
+            ("-x*y + 2", {2 << 64 | 1 << 32 | 1: (-1, 1), 0: (2, 1)}),
+            ("-x^0", {0: (1, 1)}),
+            ("-12*x^2", {2 << 64 | 2 << 32: (-12, 1)}),
+            ("-0 + x - x", {}),
+            ("x*x*y^2 - 3*y^2*x^2 + 007", {4 << 64 | 2 << 32 | 2: (-2, 1), 0: (7, 1)}),
+        ],
+    )
+    def test_leading_minus_and_summed_keys(self, monkeypatch, text, terms):
+        want = outcome(seed_parse_polynomial, text, XY)
+        assert want == ("terms", terms)
+        monkeypatch.setattr(expr, "_Parser", _NoDescent)
+        assert outcome(parse_polynomial, text, XY) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "q*x", "(x)", "x  + y", "x\t+ y", "x +y", " x", "x ", "1/2*x", "2^3*x",
+            "x^2^3", "x^", "x^y", "x*", "*x", "", "-", "x + ", "x + -y", "--x",
+            "x*3", "3*4", "x*y*x*y", "2*x*y*x", "x^4294967296", "x^4294967295*x", "1" + "0" * 4300 + "*x",
+            "x^1" + "0" * 4300, "x²", "١*x", "x + \udcff",
+        ],
+    )
+    def test_declined_text_goes_to_the_descent(self, monkeypatch, text):
+        assert expr._canonical(text, XY) is None
+        want = outcome(seed_parse_polynomial, text, XY)
+        assert outcome(parse_polynomial, text, XY) == want
+
+    def test_mutated_canonical_text_matches_parse_then_to_polynomial(self, monkeypatch):
+        rng = random.Random(242424)
+        splice = list("xyz019_ \t+-*^()/") + ["  ", " + ", " - ", "^2", "*x", "é"]
+        read = {True: 0, False: 0}
+        canonical = expr._canonical
+
+        def counting(text, context):
+            out = canonical(text, context)
+            read[out is not None] += 1
+            return out
+
+        monkeypatch.setattr(expr, "_canonical", counting)
+        limit = sys.get_int_max_str_digits()
+        for _ in range(2000):
+            ctx = VarContext(rng.sample(_NAMES, rng.randint(1, 4)))
+            f = random_int_polynomial(rng, ctx, max_exp=9)
+            if rng.random() < 0.05:
+                f = f + 10 ** (limit - 1) * ctx.variable(ctx.names[0])
+            text = format_polynomial(f)
+            for _ in range(rng.randint(0, 3)):
+                i, roll = rng.randint(0, len(text)), rng.random()
+                if roll < 0.5:
+                    text = text[:i] + rng.choice(splice) + text[i:]
+                elif roll < 0.8:
+                    text = text[:i] + text[i + 1:]
+                else:
+                    text = text[:i] + rng.choice(splice) + text[i + 1:]
+            names = list(ctx.names)
+            if len(names) > 1 and rng.random() < 0.2:
+                names.remove(rng.choice(names))
+            ctx = VarContext(names)
+            if "(" in text or max(map(len, _EXPONENT.findall(text)), default=0) > 2:
+                # a group, or '^' spliced into a long number, may be a power
+                # too large to expand: compared only where it is a syntax error
+                try:
+                    parse(text)
+                except ExprSyntaxError:
+                    pass
+                else:
+                    continue
+            want = outcome(seed_parse_polynomial, text, ctx)
+            assert outcome(parse_polynomial, text, ctx) == want, repr(text)
+        assert read[True] > 400 and read[False] > 1000, read
+
+    def test_every_stored_cli_polynomial_is_read_without_the_descent(self):
+        # the fields of the stored CLI outputs that hold polynomials with
+        # int coefficients; the file is only read
+        fields = {
+            "polynomial", "family", "envelope", "input", "output", "canonical",
+            "conic", "generators", "image", "determinant", "matrix", "map",
+            "gradient", "residual",
+        }
+        texts = []
+
+        def walk(value, field):
+            if isinstance(value, dict):
+                for k, v in value.items():
+                    walk(v, k)
+            elif isinstance(value, list):
+                for v in value:
+                    walk(v, field)
+            elif isinstance(value, str) and field in fields:
+                texts.append(value)
+
+        for case in json.loads(EXPECTED_CLI.read_text()).values():
+            if case["stdout"]:
+                walk(json.loads(case["stdout"]), None)
+        assert len(texts) > 100
+        for text in texts:
+            ctx = VarContext(sorted(set(_IDENT.findall(text))) or ["x"])
+            terms = expr._canonical(text, ctx)
+            assert terms is not None, repr(text)
+            assert terms == seed_parse_polynomial(text, ctx)._terms, repr(text)
 
 
 # -- the formatter against the term-by-term algorithm it replaced ------------

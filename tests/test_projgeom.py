@@ -427,6 +427,26 @@ class TestElimination:
         with pytest.raises(InexactDivisionError):
             eliminate([[OffByOne(x) for x in r] for r in rows])
 
+    def test_int_matrix_takes_the_int_quotient_once_per_call(self, monkeypatch):
+        # an int matrix never reaches the per-entry dispatch, and an inexact
+        # int quotient on that path is still an error, not a floored value
+        def per_entry(x, d):
+            raise AssertionError("per-entry quotient on an int matrix")
+
+        class OffByOne(int):
+            def __mul__(self, other):
+                return int(self) * int(other) + 1
+
+            __rmul__ = __mul__
+
+        monkeypatch.setattr(polyring, "_exact_quotient", per_entry)
+        rows = [[2, 3, 1], [5, 7, 2], [1, 4, 6]]
+        assert det_over_ring(rows) == -3
+        with pytest.raises(InexactDivisionError):
+            eliminate([[OffByOne(x) for x in r] for r in rows])
+        with pytest.raises(AssertionError, match="per-entry"):
+            eliminate([[Fraction(x) for x in r] for r in rows])
+
     def test_dense_determinant_work_grows_polynomially(self, monkeypatch):
         # a count, not a time: the elimination makes 532 products here,
         # cofactor expansion of a dense 8x8 on the order of 8! = 40,320;

@@ -241,6 +241,27 @@ class TestGaussRankAgainstFractions:
             want = rank_outcome(fraction_generic_rank, gi, seed)
             assert rank_outcome(generic_rank, gi, seed) == want, seed
 
+    def test_sampling_stops_at_the_largest_possible_rank(self, bourgain, monkeypatch):
+        # quadric-control reaches min(5, 4) - 1 = 3 on its first sample; the
+        # ruling map's rank 2 is below that, so it takes all seven
+        calls = []
+        original = ruled.evaluate_many
+
+        def counting(polys, point):
+            calls.append(None)
+            return original(polys, point)
+
+        monkeypatch.setattr(ruled, "evaluate_many", counting)
+        cases = [
+            (catalog.hypersurface("quadric-control"), quadric_map(), 3, 1),
+            (bourgain, ruling_map(), 2, SAMPLE_COUNT),
+        ]
+        for h, pm, expected, samples in cases:
+            gi = gauss_map(h, pm)
+            calls.clear()
+            assert generic_rank(gi) == expected
+            assert len(calls) == samples
+
     def test_no_entry_is_evaluated_alone(self, bourgain, monkeypatch):
         calls = []
         evaluate = Polynomial.evaluate
