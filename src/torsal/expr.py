@@ -1,5 +1,5 @@
-"""Polynomial expression parsing: tokenizer, one recursive descent, two
-builders, and a reader of canonical text ahead of them.
+"""Polynomial expression parsing: tokenizer, one recursive descent that
+builds an AST, and a reader of canonical text ahead of it.
 
 Grammar (whitespace-insensitive, no implicit multiplication, no division):
 
@@ -24,27 +24,20 @@ A token's kind is read from its first character. The descent indexes
 that list directly, so a parse costs time per token, not per character,
 and carries no positions.
 
-Parsing: _Parser holds the one grammar and hands each term of the
-top-level expr to a builder. The AST builder (_Nodes) serves parse(),
-and every parenthesised group, whichever builder reads the text. The
-term builder (_Terms) serves parse_polynomial(): it folds a product of
-numbers, variables and their powers straight into a coefficient and a
-packed key of one term dict, and builds neither nodes nor polynomials
-for it. Any other term (a group, an unknown name, a degree past the
-packing limit) is read again by the grammar as an AST subtree and
-evaluated with to_polynomial, in text order, only after the whole text
-has parsed: every syntax error is raised before any evaluation, and no
-power is expanded before the text is known to be well formed.
+Parsing: _Parser holds the one grammar and builds the AST; parse()
+returns it and to_polynomial() evaluates it. parse_polynomial reads any
+text _canonical declines as to_polynomial(parse(text)), so the whole
+text has parsed, and every syntax error is raised, before any term is
+evaluated or any power expanded.
 
 Canonical text: parse_polynomial first hands the text to _canonical, a
 recognizer for the language format_polynomial writes with int
 coefficients (terms joined by " + " or " - ", each a number, or a
 number and factors 'name' or 'name^nat' joined by '*'). It splits the
 text on spaces and on '*' with str.split and folds each term into the
-term dict as _Terms would, with no token list. It accepts no text the
-grammar reads differently and declines every other text, which the
-descent then reads from the start: results, errors and byte offsets are
-the descent's own.
+term dict, with no token list. It accepts no text the grammar reads
+differently and declines every other text, which the descent then reads
+from the start: results, errors and byte offsets are the descent's own.
 
 Errors: ExprSyntaxError carries the byte offset of the offending input,
 computed only when an error is raised, by scanning again for the
@@ -185,21 +178,18 @@ class _Parser:
         limit = sys.get_int_max_str_digits()
         return self.error(f"number literal longer than {limit} digits", index)
 
-    def read(self, build) -> None:
-        """The whole text as one expr whose terms go to `build`."""
-        self.expr(build)
+    def read(self) -> Node:
+        """The whole text as one expr."""
+        node = self.expr()
         tok = self.toks[self.pos]
         if tok:
             raise self.error(f"trailing input {tok!r}", self.pos)
+        return node
 
-    def expr(self, build) -> None:
-        """Each term, with its sign, goes to ``build(self, sign)``.
-
-        The builder reads the term from ``self.pos`` on and leaves ``pos``
-        after it.
-        """
+    def expr(self) -> Node:
+        """A Sum of the signed terms, or the one term alone."""
         toks = self.toks
-        build(self, 1)
+        terms = [(1, self.term())]
         while True:
             op = toks[self.pos]
             if op == "+":
@@ -207,9 +197,10 @@ class _Parser:
             elif op == "-":
                 sign = -1
             else:
-                return
+                break
             self.pos += 1
-            build(self, sign)
+            terms.append((sign, self.term()))
+        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self) -> Node:
         toks = self.toks
@@ -261,14 +252,13 @@ class _Parser:
         if tok == "(":
             self.nest()
             self.pos = pos + 1
-            group = _Nodes()
-            self.expr(group)
+            group = self.expr()
             tok = self.toks[self.pos]
             if tok != ")":
                 raise self.error(f"expected ')', found {self.found(tok)}", self.pos)
             self.pos += 1
             self.depth -= 1
-            return group.node()
+            return group
         if tok == "-":
             self.nest()
             self.pos = pos + 1
@@ -276,27 +266,6 @@ class _Parser:
             self.depth -= 1
             return node
         raise self.error(f"expected a value, found {self.found(tok)}", pos)
-
-
-class _Nodes:
-    """The AST builder: the signed terms of one expr, as nodes."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self):
-        self.terms = []
-
-    def __call__(self, p: _Parser, sign: int) -> None:
-        self.terms.append((sign, p.term()))
-
-    def node(self) -> Node:
-        terms = self.terms
-        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
-
-
-# the largest power of a number, in bits, that the term builder computes
-# while it reads; a larger one waits, with its term, for the syntax check
-_FOLD_BITS = 4096
 
 
 def _add_int(out, key, n):
@@ -310,99 +279,6 @@ def _add_int(out, key, n):
             out[key] = (s, 1)
         else:
             del out[key]
-
-
-class _Terms:
-    """The term builder: the terms of the top-level expr, in one term dict.
-
-    A term that is a product of numbers, context variables and their
-    '^nat' powers, each perhaps behind unary minus, is folded as it is
-    read into an int coefficient and a packed key: a variable adds
-    ``e * unit[name]`` to the key. Every other term (one with a group,
-    an unknown name, a total degree at the packing limit, a power of a
-    number past _FOLD_BITS, or a syntax error) is read again from its
-    first token by the grammar's `term`, and its node is kept in
-    `deferred` with its sign, in text order. The fold reads each token
-    at most once before that, so a descent costs at most two reads per
-    token; before the syntax check it only multiplies the numbers it
-    reads and adds exponents into keys, which cannot fail.
-    """
-
-    __slots__ = ("units", "degree_shift", "nats", "out", "deferred")
-
-    def __init__(self, context: VarContext):
-        self.units = context._units
-        self.degree_shift = context._degree_shift
-        self.nats = {}  # number token -> its int, for the text at hand
-        self.out = {}  # packed key -> (n, 1): every folded coefficient is an int
-        self.deferred = []
-
-    def __call__(self, p: _Parser, sign: int) -> None:
-        folded = self.fold(p.toks, p.pos, sign)
-        if folded is None:
-            self.deferred.append((sign, p.term()))
-            return
-        p.pos, coefficient, key = folded
-        if coefficient:
-            _add_int(self.out, key, coefficient)
-
-    def fold(self, toks, pos, coefficient):
-        """(next pos, coefficient, key) of the term at `pos`, or None."""
-        units, nats, key = self.units, self.nats, 0
-        while True:
-            tok = toks[pos]
-            negs = 0
-            while tok == "-":  # unary minus: top level, so negs is the depth
-                negs += 1
-                if negs > MAX_NESTING:
-                    return None
-                pos += 1
-                tok = toks[pos]
-            unit = units.get(tok)
-            if unit is None:
-                value = nats.get(tok)
-                if value is None:
-                    value = self.nat(tok)
-                    if value is None:
-                        return None
-            pos += 1
-            e = 1
-            if toks[pos] == "^":
-                tok = toks[pos + 1]
-                e = nats.get(tok)
-                if e is None:
-                    e = self.nat(tok)
-                    if e is None:
-                        return None
-                pos += 2
-            if unit is not None:
-                key += e * unit
-            elif e == 1:
-                coefficient *= value
-            elif value > 1 and value.bit_length() * e > _FOLD_BITS:
-                return None
-            else:
-                coefficient *= value ** e
-            if negs & e & 1:  # (-b)^e is -(b^e) for odd e
-                coefficient = -coefficient
-            if toks[pos] != "*":
-                break
-            pos += 1
-        # a field can only overflow into the next once the degree field,
-        # which is on top, reads at least DEGREE_LIMIT
-        if key >> self.degree_shift >= DEGREE_LIMIT:
-            return None
-        return pos, coefficient, key
-
-    def nat(self, tok):
-        """The value of a number token, kept in `nats`; None for any other."""
-        if tok[:1] not in _DIGITS:
-            return None
-        try:
-            value = self.nats[tok] = int(tok)
-        except ValueError:  # past the digit limit
-            return None
-        return value
 
 
 def _factor(text, units):
@@ -504,9 +380,7 @@ def _canonical(text: str, context: VarContext):
 
 def parse(text: str) -> Node:
     """Parse expression text to an AST; ExprSyntaxError on bad input."""
-    nodes = _Nodes()
-    _Parser(text).read(nodes)
-    return nodes.node()
+    return _Parser(text).read()
 
 
 def to_polynomial(node: Node, context: VarContext) -> Polynomial:
@@ -556,19 +430,11 @@ def parse_polynomial(text: str, context: VarContext) -> Polynomial:
 
     Canonical text with int coefficients, the form every command prints,
     is read term by term by _canonical, with no tokens and no descent.
-    Text it declines gets one descent with the term builder (_Terms):
-    the common terms fold into one term dict as they are read, and no
-    node or per-term Polynomial is built for them. Only once the whole text has parsed,
-    so after every syntax error, are the deferred terms evaluated with
-    to_polynomial, in text order, and added in. The result, or the
-    error raised, is that of ``to_polynomial(parse(text), context)``.
+    Any other text is ``to_polynomial(parse(text), context)``: the whole
+    text parses, so every syntax error is raised, before any term is
+    evaluated or any power expanded.
     """
     out = _canonical(text, context)
     if out is not None:
         return Polynomial._make(context, out)
-    terms = _Terms(context)
-    _Parser(text).read(terms)
-    out = terms.out
-    for sign, node in terms.deferred:
-        add_into(out, to_polynomial(node, context)._terms, sign)
-    return Polynomial._make(context, out)
+    return to_polynomial(parse(text), context)

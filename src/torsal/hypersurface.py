@@ -34,11 +34,11 @@ class Hypersurface:
         if f.is_zero():
             raise ValueError("the zero polynomial defines no hypersurface")
         if not f.is_homogeneous():
-            lead_deg = f.total_degree()
+            lead_deg, shift = f.total_degree(), f.context._degree_shift
             offending = [
-                format_polynomial(Polynomial(f.context, {m: 1}))
-                for m, _ in f.sorted_terms()
-                if m.total_degree != lead_deg
+                format_polynomial(Polynomial._make(f.context, {key: (1, 1)}))
+                for key in f._keys_descending()
+                if key >> shift != lead_deg
             ]
             raise NonHomogeneousError(offending)
         self.f = f

@@ -503,7 +503,7 @@ class TestDifferential:
         assert rejected > 1000 and round_trips > 1000
 
 
-# -- the term builder against parse() followed by to_polynomial() -----------
+# -- parse_polynomial against parse() followed by to_polynomial() ----------
 
 
 def seed_parse_polynomial(text, ctx):
@@ -520,6 +520,10 @@ def outcome(read, text, ctx):
 
 
 class TestTermBuilder:
+    """parse_polynomial against parse() then to_polynomial(), on text the
+    canonical reader accepts and on text it declines. The class keeps the
+    name of the term builder it once checked, so its test ids stay put."""
+
     def test_seeded_strings_match_parse_then_to_polynomial(self):
         # the strings of TestDifferential, read in contexts that sometimes
         # omit a name the text uses

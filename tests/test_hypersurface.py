@@ -38,6 +38,35 @@ class TestConstruction:
             Hypersurface(z0 ** 2 + z0)
         assert exc_info.value.offending_terms
 
+    @pytest.mark.parametrize(
+        "build,offending",
+        [
+            (lambda z0, z1, z2, z3, z4: z0 + z0 ** 2, ["z0"]),
+            (
+                lambda z0, z1, z2, z3, z4: 7 + 5 * z4 - z0 * z2 + 3 * z1 ** 3,
+                ["z0*z2", "z4", "1"],
+            ),
+            (
+                lambda z0, z1, z2, z3, z4: z2 * z3 * z4 - Fraction(1, 2) * z1 ** 2 + z0 ** 2,
+                ["z0^2", "z1^2"],
+            ),
+        ],
+        ids=["z0^2 + z0", "3*z1^3 - z0*z2 + 5*z4 + 7", "z0^2 - 1/2*z1^2 + z2*z3*z4"],
+    )
+    def test_non_homogeneous_error_names_each_offending_monomial(
+        self, zctx, build, offending
+    ):
+        # every term below the leading degree, as a monic monomial, in
+        # descending graded-lex order: each polynomial is written lowest
+        # term first, so the order is the error's, not the input's
+        with pytest.raises(NonHomogeneousError) as exc_info:
+            Hypersurface(build(*zctx.variables()))
+        assert exc_info.value.offending_terms == offending
+        assert str(exc_info.value) == (
+            "polynomial is not homogeneous; terms of differing degree: "
+            + ", ".join(offending)
+        )
+
     def test_rejects_zero_and_wrong_arity(self):
         with pytest.raises(ValueError):
             Hypersurface(Polynomial.zero(VarContext(["z0", "z1", "z2", "z3", "z4"])))

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import torsal.cli  # noqa: F401  (loads every torsal module the tracer patches)
-from torsal import catalog, ruled
+from torsal import catalog, expr, ruled
+from torsal.polyring import VarContext
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -53,3 +54,18 @@ def test_focal_points_run_through_the_frame_span(tracing):
     spans = tracer.summary()["spans"]
     assert spans["projgeom.frame"][0] > 0
     assert spans["ruled.focal_points"][0] == 1
+
+
+@pytest.mark.parametrize("text,descents", [("v-p*u", 1), ("p*u + v", 0)])
+def test_typed_text_runs_through_the_parse_span(tracing, text, descents):
+    # expr.parse.* measures the descent: text the canonical reader
+    # declines is parsed once, canonical text not at all
+    ctx = VarContext(["p", "u", "v"])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        expr.parse_polynomial(text, ctx)
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()["spans"]
+    assert spans.get("expr.parse", [0])[0] == descents
