@@ -36,29 +36,33 @@ pseudo-remainder is divided exactly by g*h^delta and each new h is
 g^delta divided exactly by h^(delta-1). The number of ring operations
 grows polynomially in the degrees, where cofactor expansion of the
 matrix grows factorially. One denominator per input: f = F/df and
-g = G/dg are cleared once, F and G split into one integer coefficient
-per power of the variable, and Res(f, g) = Res(F, G) / (df^n * dg^m)
-with m = deg f and n = deg g. Cohen's loop and its pseudo-remainder are
-written once, for any coefficient ring with *, - and **, and run on one
-of two representations of those coefficients:
+g = G/dg are cleared once, and Res(f, g) = Res(F, G) / (df^n * dg^m)
+with m = deg f and n = deg g. One pass over each of F and G reads its
+degree in the variable, its one degree in the others if it has one, and
+its l1 norm; a second puts each term into the coefficient of its power.
+Cohen's loop and its pseudo-remainder are written once, for any
+coefficient ring with *, - and **, and run on one of two
+representations of those coefficients:
 
 * Kronecker (Fateman, "Can you save time in multiplying polynomials by
   encoding them as integers?", 2005): when every coefficient of F is
   homogeneous of one degree in the remaining variables, and likewise
   for G, the resultant is homogeneous of a known degree D. The last
   remaining variable is dropped, the others go to X, X^(D+1), ... with
-  X = 2^B, and each coefficient becomes one int, so each product and
-  exact quotient of the sequence is one big-int operation. B bounds
-  every coefficient the sequence keeps: each Sylvester row has l1 norm
-  ||F||_1 or ||G||_1, so a minor's coefficients are at most
-  ||F||_1^n * ||G||_1^m. The result's signed base-2^B digits are
-  unpacked, and the dropped exponent is D less the others. It is taken
+  X = 2^B, and each term is shifted straight into the one int of its
+  power, so each product and exact quotient of the sequence is one
+  big-int operation. B bounds every coefficient the sequence keeps:
+  each Sylvester row has l1 norm ||F||_1 or ||G||_1, so a minor's
+  coefficients are at most ||F||_1^n * ||G||_1^m. The result's signed
+  base-2^B digits are read slot by slot, one per monomial of degree D,
+  and the dropped exponent is D less the others. It is taken
   when the inputs are dense and B, times the slots per monomial of the
   result, is small (_kronecker_layout has the measured limits).
-* Polynomials with integer coefficients, for every other input: the
-  sequence's products, powers and exact quotients are Polynomial's *, **
-  and exact_div, so the kernel's integer loops run and the degree guard
-  is Polynomial's own.
+* Polynomials with integer coefficients, for every other input, one per
+  power present (the absent powers share one zero): the sequence's
+  products, powers and exact quotients are Polynomial's *, ** and
+  exact_div, so the kernel's integer loops run and the degree guard is
+  Polynomial's own.
 
 Every quotient of the sequence is a subresultant, integral over the
 integers, so one that is not raises InexactDivisionError. Both
@@ -85,7 +89,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
+from itertools import product
 from math import comb, gcd
 
 from torsal import _kernel as K
@@ -115,6 +120,41 @@ def _times_power(terms, powers, e):
     if power is None:
         power = powers[e] = K.terms_pow(powers[1], e)
     return K.terms_mul(terms, power)
+
+
+def _repack(terms, images):
+    """The image of a term dict under monomial or constant images, given as
+    (field shift, _, image terms of at most one term) per variable present.
+    Multiplying packed monomials adds their keys, so c * prod x_i^e_i goes
+    to one term, key sum e_i * key_i and coefficient c * prod m_i^e_i (none
+    if an image is zero); terms whose image keys meet are added."""
+    moves, scales = [], []
+    for s, _, img in images:
+        ((key, (n, d)),) = img.items() if img else ((0, (0, 1)),)
+        if key:
+            moves.append((s, key))
+        if (n, d) != (1, 1):
+            scales.append((s, n, d))
+    out = {}
+    get = out.get
+    for key, (n, d) in terms.items():
+        image = 0
+        for s, step in moves:
+            image += ((key >> s) & MASK) * step
+        for s, a, b in scales:
+            e = (key >> s) & MASK
+            if e:
+                n *= a ** e
+                d *= b ** e
+        if n:
+            cur = get(image)
+            pair = (n, d) if d == 1 else K.rat_norm(n, d)
+            pair = pair if cur is None else K.rat_add(*cur, *pair)
+            if pair[0]:
+                out[image] = pair
+            else:
+                del out[image]
+    return out
 
 
 def _by_power(terms, context, var, degree):
@@ -513,20 +553,23 @@ class Polynomial:
         Every variable that occurs in f must have an image; images may be
         polynomials (sharing one target context) or plain rationals.
 
-        Horner's rule over the variables that occur in f (Pena and Sauer,
-        "On the multivariate Horner scheme", SIAM J. Numer. Anal. 37(4),
-        2000), one pass per variable, innermost (last) first. Each term
-        starts as a partial image, its coefficient, keyed by its exponent
-        fields. The pass for variable x splits each key into x's exponent
-        and the rest, the fields before x's. Sorted once up front, the
-        keys sharing a rest are adjacent with x-exponents e1 > ... > ek,
-        and their partial images fold into one, keyed by the rest:
-        acc <- acc * img^(e_j - e_j+1) + next, then acc * img^ek. A rest
-        with one partial image at exponent 0 keeps it as it is. A pass
-        makes at most one product per partial image and their number
-        never grows, so a product that many terms share is made once,
-        where expanding each term alone made one per term and variable
-        in it.
+        When the image of every variable present is a monomial or a
+        constant (zero included), each term goes to one term and only its
+        key is re-packed (_repack): no term products. Otherwise the image
+        is folded by Horner's rule over the variables that occur in f
+        (Pena and Sauer, "On the multivariate Horner scheme", SIAM J.
+        Numer. Anal. 37(4), 2000), one pass per variable, innermost (last)
+        first. Each term starts as a partial image, its coefficient, keyed
+        by its exponent fields. The pass for variable x splits each key
+        into x's exponent and the rest, the fields before x's. Sorted once
+        up front, the keys sharing a rest are adjacent with x-exponents
+        e1 > ... > ek, and their partial images fold into one, keyed by
+        the rest: acc <- acc * img^(e_j - e_j+1) + next, then
+        acc * img^ek. A rest with one partial image at exponent 0 keeps
+        it as it is. A pass makes at most one product per partial image
+        and their number never grows, so a product that many terms share
+        is made once, where expanding each term alone made one per term
+        and variable in it.
 
         The powers of img come from ``terms_pow``, memoized within the
         pass and made only for the exponents and gaps that occur:
@@ -561,9 +604,9 @@ class Polynomial:
                 raise MissingAssignmentError(
                     f"no image for variable {name!r} occurring in f"
                 )
-        # (step, image terms) in context order; a pass shifts a key right
-        # by its step to drop the variable's field and those of the absent
-        # variables between it and the next variable present
+        # (field shift, step, image terms) in context order; a Horner pass
+        # shifts a key right by its step to drop the variable's field and
+        # those of the absent variables between it and the next one present
         images = []
         image_degree = 0
         prev = -1
@@ -572,11 +615,13 @@ class Polynomial:
             if not isinstance(img, Polynomial):
                 img = Polynomial.constant(target, img)
             i = index[name]
-            images.append((WIDTH * (i - prev), img._terms))
+            images.append((ctx._shifts[i], WIDTH * (i - prev), img._terms))
             image_degree = max(image_degree, img.total_degree())
             prev = i
         if self._terms:
             _degree_guard(self.total_degree() * image_degree, "substitution")
+        if all(len(img) <= 1 for _, _, img in images):
+            return Polynomial._make(target, _repack(self._terms, images))
 
         # (exponent fields down to the innermost variable present, partial
         # image), descending: the keys that share a rest are adjacent
@@ -586,7 +631,7 @@ class Polynomial:
             [((key & fields) >> low, {0: pair}) for key, pair in self._terms.items()],
             reverse=True,
         )
-        for step, img in reversed(images):
+        for _, step, img in reversed(images):
             powers = {1: img}  # exponent -> img^exponent
             out = []
             last, top, acc = -1, 0, None
@@ -637,20 +682,9 @@ class Polynomial:
             raise ValueError(
                 f"cannot dehomogenize by {var!r}: it is the context's only variable"
             )
-        names = self.context.names[:i] + self.context.names[i + 1:]
-        ctx = VarContext(names)
-        s = self.context._shifts[i]
-        below = (1 << s) - 1
-        fields = (1 << self.context._degree_shift) - 1
-        shift = self.context._degree_shift
-        out = {}
-        for key, pair in self._terms.items():
-            e = (key >> s) & MASK
-            rest = (((key >> shift) - e) << ctx._degree_shift
-                    | (key & fields) >> (s + WIDTH) << s
-                    | key & below)
-            K.add_into(out, {rest: pair})
-        return Polynomial._make(ctx, out)
+        ctx = VarContext(self.context.names[:i] + self.context.names[i + 1:])
+        images = dict(zip(ctx.names, ctx.variables()))
+        return self.substitute({**images, var: 1}, ctx)
 
     def rename(self, new_names) -> "Polynomial":
         """Same polynomial over a context with positionally renamed variables."""
@@ -866,33 +900,40 @@ _DENSITY = 5
 _SLOT_BITS = (512, 512, 256)
 
 
-def _homogeneous_degree(terms, s, top):
-    """The one degree of every term of a cleared int dict in the variables
-    other than the one whose field is at bit s, or None."""
-    degrees = {(key >> top) - ((key >> s) & MASK) for key in terms}
-    return degrees.pop() if len(degrees) == 1 else None
+def _read(terms, s, top):
+    """(terms, degree, rest, norm) for a cleared int dict, read in one pass:
+    its degree in the variable whose field is at bit s (-1 for {}), the one
+    degree of every term in the other variables or None, and its l1 norm."""
+    degree, rest, mixed, norm = -1, None, False, 0
+    for key, c in terms.items():
+        e = (key >> s) & MASK
+        if e > degree:
+            degree = e
+        d = (key >> top) - e
+        if d != rest:
+            mixed = rest is not None
+            rest = d
+        norm += c if c > 0 else -c
+    return terms, degree, None if mixed else rest, norm
 
 
-def _kronecker_layout(F, G, m, n, context, var):
-    """(packed, last, D, bits) when F and G suit the Kronecker path, else
+def _kronecker_layout(a, b, context, i):
+    """(packed, last, D, bits) when a and b suit the Kronecker path, else
     None: packed holds (field shift, slot weight in bits) per packed
     variable, last is the field shift of the dropped variable (0 with no
     variable left beside var, where D is 0), D the degree of the
     resultant in the remaining variables and bits the width of a slot.
 
-    Selection: every var-coefficient of F is homogeneous of one degree dF
-    in the remaining variables, and of one dG for G; each of F and G has
-    at least 1/_DENSITY of the monomials of its box (degree in var by
-    that degree in the remaining variables); (max(m, n) + 2) * D stays
-    below DEGREE_LIMIT, which bounds the degree of every product of the
+    Selection, on _read's (F, m, dF, ||F||_1) and (G, n, dG, ||G||_1): every
+    var-coefficient of F is homogeneous of one degree dF in the remaining
+    variables, and of one dG for G; each of F and G has at least
+    1/_DENSITY of the monomials of its box (degree in var by that degree
+    in the remaining variables); (max(m, n) + 2) * D stays below
+    DEGREE_LIMIT, which bounds the degree of every product of the
     Polynomial PRS too, so neither path can raise DegreeError; and the
     packed ints stay within _SLOT_BITS.
     """
-    top = context._degree_shift
-    i = context.index(var)
-    s = context._shifts[i]
-    dF = _homogeneous_degree(F, s, top)
-    dG = _homogeneous_degree(G, s, top)
+    (F, m, dF, normF), (G, n, dG, normG) = a, b
     if dF is None or dG is None:
         return None
     D = n * dF + m * dG
@@ -912,52 +953,45 @@ def _kronecker_layout(F, G, m, n, context, var):
     # l1 norms, ||F||^n * ||G||^m, in absolute value, and so is every
     # subresultant coefficient the sequence keeps: signed slots of B bits
     # hold it with room to spare
-    norm = sum(map(abs, F.values())) ** n * sum(map(abs, G.values())) ** m
-    bits = (2 * norm).bit_length() + 1
+    bits = (2 * normF ** n * normG ** m).bit_length() + 1
     if k and bits * (D + 1) ** k > _SLOT_BITS[k - 1] * comb(D + k, k):
         return None
     # variable j of the packed ones goes to X^((D+1)^j), X = 2^bits
     return [(t, (D + 1) ** j * bits) for j, t in enumerate(shifts)], last, D, bits
 
 
-def _pack(bucket, packed):
-    """One int for a var-coefficient: each monomial's coefficient shifted
-    into its slot (with no packed variable, the one coefficient itself)."""
-    total = 0
-    for key, c in bucket.items():
-        at = 0
-        for t, weight in packed:
-            at += ((key >> t) & MASK) * weight
-        total += c << at
-    return total
+@lru_cache(maxsize=32)
+def _slot_keys(shifts, last, D, top):
+    """(slot, key) of each monomial of degree D in the remaining variables:
+    packed ones at the field shifts in `shifts` (slot weights 1, D + 1,
+    ...), the dropped one at `last`. Built once per layout."""
+    out = []
+    for exps in product(range(D + 1), repeat=len(shifts)):
+        if sum(exps) <= D:
+            slot = sum(e * (D + 1) ** j for j, e in enumerate(exps))
+            key = D << top | (D - sum(exps)) << last
+            out.append((slot, key | sum(e << t for e, t in zip(exps, shifts))))
+    return tuple(out)
 
 
 def _unpack(value, layout, shift):
     """The int dict of a packed result: the signed base-2^bits digits of
     value, each at its slot's monomial, the last remaining variable
-    raised to D less the others' degrees."""
+    raised to D less the others' degrees. Each digit is below 2^(bits-1)
+    in absolute value, so value plus 2^(bits-1) in every slot has plain
+    base-2^bits digits, none borrowed: each monomial's digit is read from
+    its own slot, with no divmod and no pass over the empty slots.
+    """
     packed, last, D, bits = layout
-    head = D << shift
-    base = D + 1
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
+    # half * (1 + 2^bits + 2^(2*bits) + ...) over every slot
+    value += half * (((1 << bits * (D + 1) ** len(packed)) - 1) // mask)
     out = {}
-    slot = 0
-    while value:
-        digit = value & mask
-        value >>= bits
-        if digit >= half:
-            digit -= 1 << bits
-            value += 1
+    for slot, key in _slot_keys(tuple(t for t, _ in packed), last, D, shift):
+        digit = (value >> slot * bits & mask) - half
         if digit:
-            key, rest, index = head, D, slot
-            for t, _ in packed:
-                e = index % base
-                index //= base
-                key |= e << t
-                rest -= e
-            out[key | rest << last] = digit
-        slot += 1
+            out[key] = digit
     return out
 
 
@@ -969,35 +1003,47 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     computed by the subresultant PRS without building the matrix.
     """
     f._check_context(g)
-    m = f.degree_in(var)
-    n = g.degree_in(var)
-    if m < 1:
-        raise DegreeError(f"first input has degree {m} in {var!r}; need >= 1")
-    if n < 1:
-        raise DegreeError(f"second input has degree {n} in {var!r}; need >= 1")
     context = f.context
+    i = context.index(var)
+    s, top = context._shifts[i], context._degree_shift
     # f = F/df and g = G/dg, so Res(f, g) = Res(F, G) / (df^n * dg^m)
     F, df = K._cleared(f._terms)
     G, dg = K._cleared(g._terms)
+    a, b = _read(F, s, top), _read(G, s, top)
+    for which, (terms, degree, _, _) in (("first", a), ("second", b)):
+        if degree < 1:
+            raise DegreeError(
+                f"{which} input has degree {degree} in {var!r}; need >= 1" if terms
+                else f"{which} input is zero; need degree >= 1 in {var!r}"
+            )
+    m, n = a[1], b[1]
     den = df ** n * dg ** m
     flips = 0
     if m < n:  # Res(f, g) = (-1)^(mn) Res(g, f)
-        F, G, m, n = G, F, n, m
+        a, b, m, n = b, a, n, m
         flips = m * n
-    layout = _kronecker_layout(F, G, m, n, context, var)
+    layout = _kronecker_layout(a, b, context, i)
     if layout is None:
-        def coefficient(c):
-            return Polynomial._make(context, K._pairs(c, 1, 1))
+        zero = Polynomial.zero(context)  # shared by every power absent
+
+        def coefficients(terms, degree):
+            return [Polynomial._make(context, K._pairs(c, 1, 1)) if c else zero
+                    for c in _by_power(terms, context, var, degree)]
         div = Polynomial.exact_div
     else:
-        def coefficient(c):
-            return _pack(c, layout[0])
+        packed = layout[0]
+
+        def coefficients(terms, degree):
+            # each term shifted into its slot of the int of its power
+            out = [0] * (degree + 1)
+            for key, c in terms.items():
+                at = 0
+                for t, weight in packed:
+                    at += ((key >> t) & MASK) * weight
+                out[(key >> s) & MASK] += c << at
+            return out
         div = _exact_int_quotient
-    out = _subresultant_prs(
-        [coefficient(c) for c in _by_power(F, context, var, m)],
-        [coefficient(c) for c in _by_power(G, context, var, n)],
-        div,
-    )
+    out = _subresultant_prs(coefficients(a[0], m), coefficients(b[0], n), div)
     if out is None:
         return Polynomial.zero(context)
     res, more = out

@@ -78,6 +78,11 @@ class LineFamily:
             )
         i = ctx.index(param)  # validates
         plane = tuple(n for n in names if n != param)
+        if not f:
+            raise DegreeError(
+                "the family is the zero polynomial; a line family needs joint "
+                f"degree exactly 1 in the plane coordinates {plane}"
+            )
         # the joint degree of a term in the plane coordinates is its total
         # degree less its exponent of param; the grlex-largest key that
         # breaks the rule is the first such term in sorted order

@@ -145,6 +145,18 @@ class TestErrors:
         assert payload["error"]["type"] == "syntax"
         assert payload["error"]["byte_offset"] == 4
 
+    @pytest.mark.parametrize("family", ["0", "z1 - z1"])
+    def test_zero_line_family_is_a_degree_error(self, capsys, family):
+        payload = check(
+            capsys, "error", ["envelope", "--family", family], 2, error=True
+        )
+        assert payload["error"] == {
+            "type": "degree",
+            "message": "the family is the zero polynomial; a line family needs "
+                       "joint degree exactly 1 in the plane coordinates "
+                       "('z1', 'z2', 'z3')",
+        }
+
     def test_unknown_surface(self, capsys):
         payload = check(
             capsys, "error", ["singular-locus", "--surface", "nope"], 2, error=True

@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from conftest import make_random_homogeneous, make_random_polynomial
-from torsal import _kernel, polyring
+from torsal import _kernel, catalog, polyring
 from torsal.errors import (
     ContextMismatchError,
     DegreeError,
@@ -29,7 +29,7 @@ from torsal.polyring import (
     sylvester_resultant,
 )
 from torsal.projgeom import FrameMatrix, change_polynomial_coordinates, rank
-from torsal.ruled import LineFamily, envelope
+from torsal.ruled import LineFamily, envelope, infinity_line_family
 
 
 class TestContext:
@@ -303,8 +303,31 @@ def random_sparse(rng, ctx, max_terms, max_degree):
 
 class TestHornerSubstitution:
     KINDS = ("int", "fraction", "zero", "monomial", "dense", "dense")
+    ONE_TERM = ("int", "fraction", "zero", "monomial")
 
-    def test_seeded_substitutions_match_the_per_term_algorithm(self):
+    def test_seeded_substitutions_match_the_per_term_algorithm(self, monkeypatch):
+        repacked = []
+        original = polyring._repack
+
+        def counted(terms, images):
+            repacked.append(len(terms))
+            return original(terms, images)
+
+        def substitute(f, images, dst):
+            """f's image, checked against the per-term algorithm; images of
+            one term at most, and only they, take the re-packing path."""
+            before = len(repacked)
+            with monkeypatch.context() as spying:
+                spying.setattr(polyring, "_repack", counted)
+                got = f.substitute(images, target_context=dst)
+            assert got == per_term_substitute(f, images, dst), (f, images)
+            one_term = all(
+                not isinstance(images[name], Polynomial) or images[name].term_count() <= 1
+                for name in f.variables_present()
+            )
+            assert (len(repacked) > before) == one_term, (f, images)
+            return got
+
         rng = random.Random(1414)
         zeros = 0
         for case in range(600):
@@ -325,10 +348,30 @@ class TestHornerSubstitution:
                 f = g.substitute({"x0": src.variable("x0")}, src)
                 f = f - g.substitute({"x0": src.variable("x1")}, src)
                 images["x0"] = images["x1"] = random_image(rng, "dense", dst)
-            got = f.substitute(images, target_context=dst)
-            assert got == per_term_substitute(f, images, dst), (f, images)
-            zeros += got.is_zero()
+            zeros += substitute(f, images, dst).is_zero()
         assert zeros > 60
+        # about half of these cases draw one-term images only
+        assert 250 < len(repacked) < 450
+        # then only ints, fractions, zeros and monomials, with x0 and x1
+        # sharing one image in every other case, so terms meet and cancel
+        before, zeros = len(repacked), 0
+        for case in range(300):
+            src = VarContext([f"x{i}" for i in range(rng.randint(2, 6))])
+            dst = VarContext([f"t{i}" for i in range(rng.randint(1, 5))])
+            f = random_sparse(rng, src, max_terms=12, max_degree=8)
+            if case % 2 == 0:
+                g = random_sparse(rng, VarContext(["x0"]), max_terms=4, max_degree=8)
+                lift = g.substitute({"x0": src.variable("x0")}, src)
+                f = f * rng.randint(0, 1) + lift - g.substitute({"x0": src.variable("x1")}, src)
+            images = {
+                name: random_image(rng, rng.choice(self.ONE_TERM), dst)
+                for name in src.names
+            }
+            if case % 2 == 0:
+                images["x1"] = images["x0"]
+            zeros += substitute(f, images, dst).is_zero()
+        assert len(repacked) - before == 300 and sum(repacked[before:]) > 1200
+        assert zeros > 100
 
     def test_large_exponents_make_few_products(self, monkeypatch):
         # every power of each image up to the 800th, kept by the per-term
@@ -373,6 +416,16 @@ class TestHornerSubstitution:
         products.clear()
         assert per_term_substitute(f, forms, zctx) == g
         assert (horner, sum(products)) == (1323, 3105)
+
+    def test_monomial_images_make_no_products(self, monkeypatch):
+        # the slice of the cubic maps each variable to a variable or 1, and
+        # dehomogenize sets one variable to 1
+        cubic = catalog.hypersurface("bourgain")
+        products = count_products(monkeypatch)
+        f = infinity_line_family(cubic).f
+        assert str(f) == "p^2*z1 + p*z2 - z3"
+        assert str(f.dehomogenize("z1")) == "p^2 + p*z2 - z3"
+        assert products == []
 
     def test_identity_on_a_wide_context_needs_no_deep_stack(self):
         ctx = VarContext([f"v{i}" for i in range(1500)])
@@ -536,6 +589,20 @@ class TestResultant:
         x = ctx.variable("x")
         with pytest.raises(DegreeError):
             sylvester_resultant(x, Polynomial.one(ctx), "x")
+
+    def test_zero_arguments_are_named(self):
+        ctx = VarContext(["x", "y"])
+        x, y = ctx.variables()
+        cases = [
+            (Polynomial.zero(ctx), x * y + 1, "first input is zero; need degree >= 1 in 'x'"),
+            (x * y + 1, y - y, "second input is zero; need degree >= 1 in 'x'"),
+            # a nonzero input of degree 0 keeps its message
+            (x * y + 1, y, "second input has degree 0 in 'x'; need >= 1"),
+        ]
+        for f, g, message in cases:
+            with pytest.raises(DegreeError) as raised:
+                sylvester_resultant(f, g, "x")
+            assert str(raised.value) == message
 
     def test_discriminant_of_quadratic(self):
         ctx = VarContext(["p", "a", "b", "c"])
@@ -999,6 +1066,15 @@ class TestIntegerPRSDifferential:
         self.check(dense_in_p(rng, 2, 4, 2), dense_in_p(rng, 2, 3, 3))
         self.check(dense_in_p(rng, 4, 3, 1), dense_in_p(rng, 4, 2, 1))
         assert path == ["kronecker"] * 17
+        path.clear()
+        # dense families of degree 6 to 8 in p with rational coefficients,
+        # against one of lower degree given first (m < n) and second
+        for degree in (6, 7, 8, 8):
+            f = dense_in_p(rng, 3, degree, 1, rational=True)
+            g = dense_in_p(rng, 3, rng.randint(degree - 3, degree - 1), 1, rational=True)
+            swap = (-1) ** (f.degree_in("p") * g.degree_in("p"))
+            assert self.check(g, f) == swap * self.check(f, g) != 0
+        assert path == ["kronecker"] * 8
 
     def test_each_selector_condition_picks_its_path(self, path):
         rng = random.Random(2323)
@@ -1041,6 +1117,27 @@ class TestIntegerPRSDifferential:
         assert path == ["polynomials"]
         f = family.f
         assert env == primitive_part(polynomial_resultant(f, f.partial_derivative("p"), "p"))
+
+    def test_sparse_family_wraps_only_the_powers_present(self, monkeypatch):
+        # p^40*z1 + p^7*z2 - z3 and its derivative: 41 and 40 coefficients,
+        # of which 3 and 2 are nonzero; the zero ones are one Polynomial
+        p, z1, z2, z3 = VarContext(["p", "z1", "z2", "z3"]).variables()
+        f = p ** 40 * z1 + p ** 7 * z2 - z3
+        seen = []
+        original = polyring._subresultant_prs
+
+        def spy(a, b, div):
+            seen.append((a, b))
+            return original(a, b, div)
+
+        monkeypatch.setattr(polyring, "_subresultant_prs", spy)
+        env = sylvester_resultant(f, f.partial_derivative("p"), "p")
+        [(a, b)] = seen
+        assert (len(a), len(b)) == (41, 40)
+        assert [k for k, c in enumerate(a) if c] == [0, 7, 40]
+        assert [k for k, c in enumerate(b) if c] == [6, 39]
+        assert len({id(c) for c in a + b if not c}) == 1
+        assert env == polynomial_resultant(f, f.partial_derivative("p"), "p")
 
 
 def dense_in_p(rng, plane, degree, delta, rational=False):

@@ -287,6 +287,19 @@ class TestEnvelope:
         with pytest.raises(DegreeError):
             LineFamily(z1 * z2 + z3, "p")
 
+    def test_zero_family_is_refused_by_name(self):
+        for names in (["p", "z1", "z2", "z3"], ["z1", "z2", "p", "z3"]):
+            ctx = VarContext(names)
+            z1 = ctx.variable("z1")
+            for zero in (Polynomial.zero(ctx), z1 - z1):
+                with pytest.raises(DegreeError) as raised:
+                    LineFamily(zero, "p")
+                plane = tuple(n for n in names if n != "p")
+                assert str(raised.value) == (
+                    "the family is the zero polynomial; a line family needs "
+                    f"joint degree exactly 1 in the plane coordinates {plane}"
+                )
+
     def test_line_family_error_names_the_first_offending_term(self):
         # z3^3 is stored first, but p*z1*z2 comes first in sorted order,
         # and it is the term the message has always named
