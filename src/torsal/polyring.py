@@ -39,7 +39,8 @@ matrix grows factorially. One denominator per input: f = F/df and
 g = G/dg are cleared once, and Res(f, g) = Res(F, G) / (df^n * dg^m)
 with m = deg f and n = deg g. One pass over each of F and G reads its
 degree in the variable, its one degree in the others if it has one, and
-its l1 norm; a second puts each term into the coefficient of its power.
+the sum over the powers of the squared l1 norms of their coefficients; a
+second puts each term into the coefficient of its power.
 Cohen's loop and its pseudo-remainder are written once, for any
 coefficient ring with *, - and **, and run on one of two
 representations of those coefficients:
@@ -51,11 +52,14 @@ representations of those coefficients:
   remaining variable is dropped, the others go to X, X^(D+1), ... with
   X = 2^B, and each term is shifted straight into the one int of its
   power, so each product and exact quotient of the sequence is one
-  big-int operation. B bounds every coefficient the sequence keeps:
-  each Sylvester row has l1 norm ||F||_1 or ||G||_1, so a minor's
-  coefficients are at most ||F||_1^n * ||G||_1^m. The result's signed
-  base-2^B digits are read slot by slot, one per monomial of degree D,
-  and the dropped exponent is D less the others. It is taken
+  big-int operation. B bounds the resultant's coefficients by
+  sqrt(S_F^n * S_G^m), S_F the sum of the squared l1 norms of F's
+  coefficients in the variable (Goldstein and Graham 1974); the
+  sequence's intermediates need not fit, as it runs on F and G evaluated
+  at X, where both leading coefficients stay nonzero, and so ends on
+  R(X). The result's signed base-2^B digits are read slot by slot, one
+  per monomial of degree D, and the dropped exponent is D less the
+  others. It is taken
   when the inputs are dense and B, times the slots per monomial of the
   result, is small (_kronecker_layout has the measured limits).
 * Polynomials with integer coefficients, for every other input, one per
@@ -91,7 +95,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, isqrt, lcm
 
 from torsal import _kernel as K
 from torsal._record import Record
@@ -895,16 +899,19 @@ def _subresultant_prs(a, b, div):
 # monomials of the result, B * (D+1)^k stays within
 # _SLOT_BITS[k - 1] * comb(D+k, k): the measured break-even of that
 # product was about 550 for k = 1 and 2 and about 300 for k = 3, at
-# every degree tried, and k = 4 lost on every input measured.
+# every degree tried, and k = 4 lost on every input measured. They were
+# measured with B from ||F||_1^n * ||G||_1^m, wider than the bound now.
 _DENSITY = 5
 _SLOT_BITS = (512, 512, 256)
 
 
 def _read(terms, s, top):
-    """(terms, degree, rest, norm) for a cleared int dict, read in one pass:
+    """(terms, degree, rest, S) for a cleared int dict, read in one pass:
     its degree in the variable whose field is at bit s (-1 for {}), the one
-    degree of every term in the other variables or None, and its l1 norm."""
-    degree, rest, mixed, norm = -1, None, False, 0
+    degree of every term in the other variables or None, and S, the sum
+    over the powers of that variable of the squared l1 norm of the power's
+    coefficient."""
+    degree, rest, mixed, norms = -1, None, False, {}
     for key, c in terms.items():
         e = (key >> s) & MASK
         if e > degree:
@@ -913,8 +920,8 @@ def _read(terms, s, top):
         if d != rest:
             mixed = rest is not None
             rest = d
-        norm += c if c > 0 else -c
-    return terms, degree, None if mixed else rest, norm
+        norms[e] = norms.get(e, 0) + (c if c > 0 else -c)
+    return terms, degree, None if mixed else rest, sum(v * v for v in norms.values())
 
 
 def _kronecker_layout(a, b, context, i):
@@ -924,7 +931,7 @@ def _kronecker_layout(a, b, context, i):
     variable left beside var, where D is 0), D the degree of the
     resultant in the remaining variables and bits the width of a slot.
 
-    Selection, on _read's (F, m, dF, ||F||_1) and (G, n, dG, ||G||_1): every
+    Selection, on _read's (F, m, dF, S_F) and (G, n, dG, S_G): every
     var-coefficient of F is homogeneous of one degree dF in the remaining
     variables, and of one dG for G; each of F and G has at least
     1/_DENSITY of the monomials of its box (degree in var by that degree
@@ -932,8 +939,18 @@ def _kronecker_layout(a, b, context, i):
     DEGREE_LIMIT, which bounds the degree of every product of the
     Polynomial PRS too, so neither path can raise DegreeError; and the
     packed ints stay within _SLOT_BITS.
+
+    bits is the least width with |c| < 2^(bits-1) for every int c up to
+    sqrt(S_F^n * S_G^m), the bound of Goldstein and Graham (SIAM Review
+    16, 1974): on the unit torus each Sylvester entry is at most its l1
+    norm, so Hadamard's inequality bounds Res(F, G) there, and by
+    Parseval the root of the sum of its squared coefficients. Only the
+    resultant R has to fit. The packed PRS is the integer PRS of F and G
+    evaluated at the Kronecker point, where lc(F) and lc(G) stay nonzero:
+    their coefficients are within the bound and their monomials within
+    the box. So it yields R(X) exactly, whatever its intermediates hold.
     """
-    (F, m, dF, normF), (G, n, dG, normG) = a, b
+    (F, m, dF, SF), (G, n, dG, SG) = a, b
     if dF is None or dG is None:
         return None
     D = n * dF + m * dG
@@ -949,11 +966,7 @@ def _kronecker_layout(a, b, context, i):
     k = len(shifts)
     if k > len(_SLOT_BITS):
         return None
-    # each result coefficient is at most the product of the Sylvester rows'
-    # l1 norms, ||F||^n * ||G||^m, in absolute value, and so is every
-    # subresultant coefficient the sequence keeps: signed slots of B bits
-    # hold it with room to spare
-    bits = (2 * normF ** n * normG ** m).bit_length() + 1
+    bits = isqrt(SF ** n * SG ** m).bit_length() + 1
     if k and bits * (D + 1) ** k > _SLOT_BITS[k - 1] * comb(D + k, k):
         return None
     # variable j of the packed ones goes to X^((D+1)^j), X = 2^bits
@@ -1090,11 +1103,16 @@ def content(f: Polynomial) -> Fraction:
 
 
 def primitive_part(f: Polynomial) -> Polynomial:
-    """f divided by its content (coprime integer coefficients); 0 stays 0."""
-    if f.is_zero():
+    """f divided by its content (coprime integer coefficients): f itself
+    when it already is primitive, 0 included, else one new term dict."""
+    pairs = f._terms.values()
+    num = gcd(*(n for n, _ in pairs))
+    den = lcm(*(d for _, d in pairs))
+    if not pairs or num == den == 1:
         return f
-    ints, _ = K._cleared(f._terms)
-    return Polynomial._make(f.context, K._pairs(ints, 1, gcd(*ints.values())))
+    return Polynomial._make(f.context, {
+        key: (n // num * (den // d), 1) for key, (n, d) in f._terms.items()
+    })
 
 
 # -- canonical text rendering ------------------------------------------

@@ -224,20 +224,27 @@ def envelope(lf: LineFamily) -> Polynomial:
     discriminant times the member line at param = infinity, a factor
     that is not part of the envelope; it has degree 2d - 1 where the
     discriminant has 2d - 2. Families of degree < 2 in the parameter
-    have no envelope (DegreeError).
+    have no envelope (DegreeError), nor have those whose discriminant
+    vanishes identically: the square of a polynomial in the parameter
+    divides every plane coefficient, so a member (p = 0 in p^2*z1) is the
+    zero form (DegreeError).
     """
     var = lf.param
     f = lf.f
     d = f.degree_in(var)
-    if d == 2:
-        return discriminant(f, var)
-    if d > 2:
-        return primitive_part(
-            sylvester_resultant(f, f.partial_derivative(var), var)
+    if d < 2:
+        raise DegreeError(
+            f"family has degree {d} in {var!r}; an envelope needs degree >= 2"
         )
-    raise DegreeError(
-        f"family has degree {d} in {var!r}; an envelope needs degree >= 2"
-    )
+    env = discriminant(f, var) if d == 2 else primitive_part(
+        sylvester_resultant(f, f.partial_derivative(var), var))
+    if not env:
+        raise DegreeError(
+            f"the square of a polynomial in {var!r} divides every plane "
+            "coefficient of the family, so a member is the zero form; "
+            "there is no envelope"
+        )
+    return env
 
 
 def conic_tangency_map() -> ParamMap:

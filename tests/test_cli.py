@@ -157,6 +157,20 @@ class TestErrors:
                        "('z1', 'z2', 'z3')",
         }
 
+    @pytest.mark.parametrize("family", [
+        "p^2*z1", "p^2*(z1+z2)", "p^3*z1", "(p^2+1)^2*z1", "p^3*z1+p^2*z2",
+    ])
+    def test_family_with_a_zero_member_is_a_degree_error(self, capsys, family):
+        payload = check(
+            capsys, "error", ["envelope", "--family", family], 2, error=True
+        )
+        assert payload["error"] == {
+            "type": "degree",
+            "message": "the square of a polynomial in 'p' divides every plane "
+                       "coefficient of the family, so a member is the zero "
+                       "form; there is no envelope",
+        }
+
     def test_unknown_surface(self, capsys):
         payload = check(
             capsys, "error", ["singular-locus", "--surface", "nope"], 2, error=True

@@ -1057,8 +1057,8 @@ class TestIntegerPRSDifferential:
         x = VarContext(["x"]).variable("x")
         self.check(3 * x ** 5 - x ** 3 + 7 * x - 2, 4 * x ** 3 + 5 * x ** 2 - 9, "x")
         self.check(dense_in_p(rng, 1, 5, 2), dense_in_p(rng, 1, 3, 4))
-        # a coefficient near the slot bound: the sequence ends on +16,
-        # against ||F||_1 * ||G||_1 = 17
+        # a coefficient at the slot bound: the sequence ends on +16, and
+        # the Goldstein-Graham bound sqrt(S_F * S_G) = sqrt(1 * 257) is 16.03
         p, y = VarContext(["p", "y"]).variables()
         assert self.check(p * y, p * y - 16 * y) == -16 * y ** 2
         # homogeneous of degree 2 and 3 in 2 plane variables, of degree 1
@@ -1090,8 +1090,13 @@ class TestIntegerPRSDifferential:
             # p^0..p^4 times z1, z2, z3, and 3 of the 12 for degree 3
             (p ** 4 * z1 + p * z2 - z3, p ** 3 * z1 + p ** 2 * z2 + z3, "kronecker"),
             (p ** 4 * z1 - z3, p ** 3 * z1 + p ** 2 * z2 + z3, "polynomials"),
-            # slots of B bits: coefficients of 2^100 widen them past the limit
+            # slots of B bits: coefficients of 2^100 widen them past the limit.
+            # The limit is B <= 288 here (D = 7, 2 packed variables); the
+            # bound gives B = 288 at 2^60, where the l1-norm product
+            # ||F||_1^n * ||G||_1^m, the slot width before it, gave 296
             (f, g * (1 << 5), "kronecker"),
+            (f, g * (1 << 60), "kronecker"),
+            (f, g * (1 << 61), "polynomials"),
             (f, g * (1 << 100), "polynomials"),
             # at most 3 packed variables: 4 plane variables pack 3, 5 pack 4
             # (slots narrow enough for the limit of 3)
@@ -1107,6 +1112,63 @@ class TestIntegerPRSDifferential:
             path.clear()
             self.check(f, g)
             assert path == [ran], (f, g)
+
+    def test_slot_width_bounds_the_resultant(self, path, monkeypatch):
+        # every coefficient of the resultant fits a signed slot of the
+        # layout's width: seeded dense pairs, and families with equal
+        # magnitudes or alternating signs, the near-worst case of the
+        # bound, 9*(z1 + ...)*sum(+-p^k) against its derivative; with 1, 2
+        # and 3 plane variables, of which 0, 1 and 2 are packed
+        widths = []
+        original = polyring._kronecker_layout
+
+        def spy(a, b, context, i):
+            layout = original(a, b, context, i)
+            widths.append(layout and layout[3])
+            return layout
+
+        monkeypatch.setattr(polyring, "_kronecker_layout", spy)
+        rng = random.Random(2424)
+        pairs = []
+        for plane in (1, 2, 3):
+            for _ in range(4):
+                m = rng.randint(2, 6)
+                rational = rng.random() < 0.5
+                f = dense_in_p(rng, plane, m, rng.randint(1, 2), rational)
+                g = dense_in_p(rng, plane, rng.randint(1, m), rng.randint(1, 2), rational)
+                pairs.append((f, g))
+            ctx = VarContext(["p"] + [f"z{i}" for i in range(1, plane + 1)])
+            p, *z = ctx.variables()
+            for degree in (3, 6, 9):
+                for sign in (1, -1):
+                    f = 9 * sum(z) * sum(sign ** k * p ** k for k in range(degree + 1))
+                    pairs.append((f, f.partial_derivative("p")))
+        for f, g in pairs:
+            widths.clear()
+            res = self.check(f, g)
+            [bits] = widths
+            assert res and max(abs(n) for n, _ in res._terms.values()) < 1 << (bits - 1)
+        assert path == ["kronecker"] * len(pairs)
+        # two widths pinned, each below the l1-norm product's
+        # (2 * ||F||_1^n * ||G||_1^m).bit_length() + 1
+        p, z1, z2, z3 = VarContext(["p", "z1", "z2", "z3"]).variables()
+        f = 9 * (z1 + z2 + z3) * sum((-1) ** k * p ** k for k in range(6))
+        lf = dense_line_family(random.Random(75), 8)
+        for f, g, bits, before in ((f, f.partial_derivative("p"), 64, 75),
+                                   (lf.f, lf.f.partial_derivative("p"), 103, 124)):
+            widths.clear()
+            self.check(f, g)
+            l1 = [sum(abs(n) for n, _ in h._terms.values()) for h in (f, g)]
+            n, m = g.degree_in("p"), f.degree_in("p")
+            assert widths == [bits]
+            assert (2 * l1[0] ** n * l1[1] ** m).bit_length() + 1 == before
+        # the bound met in bit length: Res(z*p^4, z*(p^2 + c)) = c^4 * z^6
+        # against sqrt((1 + c^2)^4), so one bit fewer would not hold it
+        p, z = VarContext(["p", "z"]).variables()
+        c = (1 << 40) - 3
+        widths.clear()
+        assert self.check(z * p ** 4, z * (p ** 2 + c)) == c ** 4 * z ** 6
+        assert widths == [(c ** 4).bit_length() + 1] == [161]
 
     def test_sparse_family_stays_on_polynomials(self, path):
         # its packed box would hold about 4 * 10^6 slots of some 11,550
@@ -1267,6 +1329,21 @@ class TestContentAndScalars:
         assert content(f) == Fraction(2, 9)
         assert primitive_part(f) == 3 * x + 2
         assert content(f) * primitive_part(f) == f
+
+    def test_primitive_input_comes_back_itself(self):
+        ctx = VarContext(["x", "y"])
+        x, y = ctx.variables()
+        for f in (3 * x + 2 * y, -(x ** 2) + 6 * y, x * 0 + 1, Polynomial.zero(ctx)):
+            assert primitive_part(f) is f
+        # content above 1, rational coefficients and a negative leading
+        # coefficient: divided by the positive content, the sign kept
+        for f, want in ((6 * x - 4 * y, 3 * x - 2 * y),
+                        (Fraction(1, 2) * x + Fraction(1, 3) * y, 3 * x + 2 * y),
+                        (-10 * x ** 2 + 4, -5 * x ** 2 + 2),
+                        (Fraction(-2, 3) * x * y - Fraction(4, 9), -3 * x * y - 2)):
+            got = primitive_part(f)
+            assert got is not f and got._terms == want._terms
+            assert content(f) * got == f
 
     def test_content_matches_the_gcd_lcm_loops(self):
         # 5,000 seeded polynomials: integer and rational coefficients, a

@@ -339,6 +339,33 @@ class TestEnvelope:
         with pytest.raises(DegreeError):
             envelope(family)
 
+    def test_family_with_a_zero_member_has_no_envelope(self):
+        # a square of a polynomial in p divides every plane coefficient: the
+        # discriminant vanishes identically, on the degree-2 path and on
+        # the resultant's, and the family is refused
+        ctx = VarContext(["p", "z1", "z2", "z3"])
+        p, z1, z2, z3 = ctx.variables()
+        rng = random.Random(31)
+        families = [p ** 2 * z1, p ** 2 * (z1 + z2), p ** 3 * z1,
+                    (p ** 2 + 1) ** 2 * z1, p ** 3 * z1 + p ** 2 * z2,
+                    (p + 1) ** 2 * (z1 - 2 * z3)]
+        for _ in range(6):
+            line = sum(sum(rng.randint(-9, 9) * p ** k for k in range(3)) * z
+                       for z in (z1, z2, z3))
+            families.append((p - rng.randint(-5, 5)) ** 2 * line)
+        for f in families:
+            with pytest.raises(DegreeError) as raised:
+                envelope(LineFamily(f, "p"))
+            assert str(raised.value) == (
+                "the square of a polynomial in 'p' divides every plane "
+                "coefficient of the family, so a member is the zero form; "
+                "there is no envelope"
+            )
+        # a simple factor in p alone leaves an envelope
+        for f in (p * (p * z1 + z2), (p ** 2 + 1) * (p * z1 + z3),
+                  (p - 1) * (p + 2) * (z1 + p * z2 - z3)):
+            assert envelope(LineFamily(f, "p"))
+
     def test_infinity_slice_of_the_cubic(self, bourgain):
         family = infinity_line_family(bourgain)
         f = family.f
