@@ -49,7 +49,6 @@ from torsal.expr import parse_polynomial
 from torsal.hypersurface import (
     Hypersurface,
     ParamMap,
-    gradient,
     pullback,
     singular_locus_generators,
 )
@@ -171,9 +170,9 @@ _WITNESS_CANDIDATES = (
 )
 
 
-def _smooth_witness(h: Hypersurface):
-    """First candidate point lying on the surface with nonzero gradient."""
-    grads = gradient(h)
+def _smooth_witness(h: Hypersurface, grads):
+    """First candidate point lying on the surface where grads, its
+    gradient, is nonzero."""
     for coords in _WITNESS_CANDIDATES:
         if h.f.evaluate(coords) != 0:
             continue
@@ -200,7 +199,7 @@ def _cmd_singular_locus(args) -> tuple:
             "vanishes_identically": on_plane,
         },
     }
-    witness = _smooth_witness(h)
+    witness = _smooth_witness(h, generators)
     if witness is None:
         payload["smooth_point_witness"] = None
     else:

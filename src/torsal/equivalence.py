@@ -10,6 +10,7 @@ reports serialize deterministically, so reruns are byte-identical.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from torsal import catalog
 from torsal._kernel import MASK
@@ -193,10 +194,17 @@ def _data_jsonable(data):
 # -- the two pipelines ------------------------------------------------------
 
 
+@cache
 def bourgain_affine_chain() -> EquivalenceReport:
     """Affine quartic-free derivation of the cubic: regroup, apply the
     admissible linear change (x2 + x3, x2 + 2*x3) -> (x2, x3), then
-    homogenize to degree 3."""
+    homogenize to degree 3.
+
+    It takes no input, so it is built and replayed once per process and
+    every later call returns the same report; a chain that fails its
+    replay raises VerificationError and is not kept
+    (``bourgain_affine_chain.cache_clear()`` forgets it).
+    """
     actx = VarContext(["x1", "x2", "x3", "x4"])
     x1, x2, x3, x4 = actx.variables()
 
@@ -254,6 +262,7 @@ def standard_cubic() -> Polynomial:
     return catalog.get("bourgain").polynomial
 
 
+@cache
 def sacksteder_to_bourgain() -> EquivalenceReport:
     """The full certified chain from x1*c + x2*s - x4 to the cubic.
 
@@ -261,6 +270,11 @@ def sacksteder_to_bourgain() -> EquivalenceReport:
     identification. The z3 image is tried with both signs and the one
     passing the scalar certificate is kept; which sign won is recorded
     because the two candidates differ in the sign of the z0^2*z3 term.
+
+    It takes no input, so it is built and replayed once per process and
+    every later call returns the same report; a chain that fails its
+    replay raises VerificationError and is not kept
+    (``sacksteder_to_bourgain.cache_clear()`` forgets it).
     """
     ts = TrigSurface.standard()
     w = weierstrass_substitute(ts)

@@ -453,6 +453,7 @@ def focal_points_on_generator(h: Hypersurface, p, q) -> FocalReport:
 PENCIL_VERDICT = "torsal: pencils of lines, centers on conic C"
 
 
+@cache
 def pencil_structure_report(h: Hypersurface) -> PencilReport:
     """Certify that the two-parameter generator family decomposes into
     plane pencils: for fixed p all generators pass through one center
@@ -464,6 +465,12 @@ def pencil_structure_report(h: Hypersurface) -> PencilReport:
     gamma*(dB1/dp)/2 lies on h, and B1 lies on the envelope conic. Only
     the standard cubic (in any variable names) is accepted; anything
     else raises VerificationError, which names every failed check.
+
+    A Hypersurface hashes by its polynomial, so the certificate of each
+    accepted surface is derived once per process and every later call
+    with an equal surface returns the same report. A refused surface or a
+    failed check raises and stores nothing, so it raises again on every
+    call (``pencil_structure_report.cache_clear()`` forgets the reports).
     """
     if h.f != catalog.get("bourgain").polynomial.rename(h.context.names):
         raise VerificationError(

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsal import equivalence, ruled
 from torsal.polyring import Polynomial, VarContext
 
 PROJECTIVE = ("z0", "z1", "z2", "z3", "z4")
@@ -19,6 +20,28 @@ PROJECTIVE = ("z0", "z1", "z2", "z3", "z4")
 @pytest.fixture
 def zctx() -> VarContext:
     return VarContext(PROJECTIVE)
+
+
+# the input-free certificates each process derives once, as
+# ruled.focal_system is; test_ruled.py clears that one on its own
+CERTIFICATES = (
+    equivalence.sacksteder_to_bourgain,
+    equivalence.bourgain_affine_chain,
+    ruled.pencil_structure_report,
+)
+
+
+@pytest.fixture
+def uncached_certificates():
+    """The equivalence chains and the pencil certificate derived afresh
+    inside the test, so a patched helper is read; the memos are cleared
+    again afterwards, so no certificate derived with a patched helper
+    outlives the test."""
+    for certificate in CERTIFICATES:
+        certificate.cache_clear()
+    yield
+    for certificate in CERTIFICATES:
+        certificate.cache_clear()
 
 
 def make_random_polynomial(

@@ -13,8 +13,9 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import torsal
+from test_cli_golden import CASES
 from test_expr import random_expression
-from torsal import cli, equivalence, errors
+from torsal import catalog, cli, equivalence, errors, projgeom, ruled
 from torsal.cli import main, schema_path
 from torsal.polyring import VarContext
 
@@ -366,7 +367,7 @@ class TestErrors:
         assert payload["error"]["type"] == "usage"
 
     def test_equivalence_chain_that_fails_replay_exits_one(
-        self, capsys, monkeypatch
+        self, capsys, uncached_certificates, monkeypatch
     ):
         monkeypatch.setattr(equivalence, "replay_step", lambda step: False)
         for chain in ("sacksteder", "affine"):
@@ -464,6 +465,77 @@ class TestDeterminism:
                             "--param-map", "1,u,v-p*u,p*v,p", "--params", "p,u,v",
                             "--seed", "7")
         assert json.loads(out)["seed"] == 7
+
+
+class TestCertificatesDerivedOnce:
+    def test_two_calls_derive_each_certificate_once(
+        self, capsys, uncached_certificates, monkeypatch
+    ):
+        replayed, frames = [], []
+        replay_step = equivalence.replay_step
+
+        def counted_replay(step):
+            replayed.append(step.name)
+            return replay_step(step)
+
+        def counted_rows(p, q):
+            frames.append(None)
+            return projgeom.frame_rows(p, q)
+
+        monkeypatch.setattr(equivalence, "replay_step", counted_replay)
+        monkeypatch.setattr(ruled, "frame_rows", counted_rows)
+        for case_id in ("equivalence/sacksteder", "equivalence/affine",
+                        "pencil/bourgain"):
+            case = CASES[case_id]
+            first = run_cli(capsys, *case["argv"])
+            second = run_cli(capsys, *case["argv"])
+            assert first == second == (case["exit"], case["stdout"], ""), case_id
+        # 4 steps in the sacksteder chain, 3 in the affine one, each
+        # replayed once; the pencil certificate builds one symbolic frame
+        assert len(replayed) == 7 and len(set(replayed)) == 7
+        assert len(frames) == 1
+
+    def test_refused_surface_fails_every_call_and_is_not_kept(
+        self, capsys, uncached_certificates
+    ):
+        quadric = catalog.hypersurface("quadric-control")
+        for _ in range(2):
+            payload = check(
+                capsys, "error",
+                ["pencil-report", "--surface", "quadric-control"], 1, error=True,
+            )
+            assert payload["error"]["type"] == "verification"
+            with pytest.raises(errors.VerificationError, match="standard ruled"):
+                ruled.pencil_structure_report(quadric)
+        assert ruled.pencil_structure_report.cache_info().currsize == 0
+
+    def test_tampering_shows_once_the_memo_is_cleared(
+        self, capsys, uncached_certificates, monkeypatch
+    ):
+        argvs = {
+            equivalence.sacksteder_to_bourgain:
+                ["equivalence-check", "--chain", "sacksteder"],
+            equivalence.bourgain_affine_chain:
+                ["equivalence-check", "--chain", "affine"],
+            ruled.pencil_structure_report:
+                ["pencil-report", "--surface", "bourgain"],
+        }
+        for argv in argvs.values():
+            assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(equivalence, "replay_step", lambda step: False)
+
+        def generator_off_the_plane(p, q):
+            b0, b1, b2, b3, b4 = projgeom.frame_rows(p, q)
+            return (b0, b1, b3, b2, b4)
+
+        monkeypatch.setattr(ruled, "frame_rows", generator_off_the_plane)
+        for certificate, argv in argvs.items():
+            # a certificate that passed once is not derived again ...
+            assert run_cli(capsys, *argv)[0] == 0
+            # ... until its memo is cleared
+            certificate.cache_clear()
+            payload = check(capsys, "error", argv, 1, error=True)
+            assert payload["error"]["type"] == "verification"
 
 
 class TestPretty:

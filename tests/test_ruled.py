@@ -701,7 +701,7 @@ class TestPencilChecksAreComputed:
         ],
     )
     def test_each_broken_identity_fails_only_its_check(
-        self, bourgain, monkeypatch, target, patch, failed
+        self, bourgain, uncached_certificates, monkeypatch, target, patch, failed
     ):
         monkeypatch.setattr(ruled, target, patch)
         with pytest.raises(VerificationError) as exc_info:
