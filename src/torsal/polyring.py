@@ -74,8 +74,8 @@ representations give the same Polynomial.
 
 Linear algebra: ``eliminate`` is the one elimination, fraction-free
 Gauss-Jordan (Bareiss 1968) with exact division by the previous pivot.
-det_over_ring reads the determinant off it, and projgeom's adjugate,
-frame inverse and rank are built on it.
+``solve`` alone reads its sign and [d*I | X] layout, for det_over_ring,
+projgeom's adjugate and frame inverse, and ruled's focal system.
 
 Sign conventions, fixed here and relied on by callers:
 
@@ -745,8 +745,11 @@ def _exact_int_quotient(x, d):
 
 
 def _exact_quotient(x, d):
-    """x / d where d is known to divide x: never a rounded or floored value."""
-    if isinstance(x, Polynomial):
+    """x / d where d is known to divide x: never a rounded or floored value.
+    A constant x is lifted into the ring of a polynomial d."""
+    if isinstance(d, Polynomial):
+        if not isinstance(x, Polynomial):
+            x = Polynomial.constant(d.context, x)
         return x.exact_div(d)
     if isinstance(x, int) and isinstance(d, int):
         return _exact_int_quotient(x, d)
@@ -810,23 +813,33 @@ def eliminate(rows):
     return sign, pivots
 
 
+def solve(m, b):
+    """(det M, adj(M) . B) from one ``eliminate`` of [M | B], M non-empty
+    and square, B as many rows of one length (ValueError otherwise). The
+    pass leaves [d*I | X] with d = sign*det(M), so adj(M) . B = sign*X.
+    A singular M gives the ring zero and None.
+    """
+    n = len(m)
+    if n == 0 or any(len(r) != n for r in m):
+        raise ValueError("solve needs a non-empty square matrix")
+    if len(b) != n or any(len(s) != len(b[0]) for s in b):
+        raise ValueError(f"solve needs {n} right-hand rows of one length")
+    work = [list(r) + list(s) for r, s in zip(m, b)]
+    sign, pivots = eliminate(work)
+    if len(pivots) < n or pivots[n - 1] != n - 1:
+        return work[0][0] * 0, None
+    return sign * work[n - 1][n - 1], [[sign * x for x in r[n:]] for r in work]
+
+
 def det_over_ring(rows):
     """Determinant of a square matrix over a commutative ring.
 
     Entries need +, -, * and truthiness (zero is falsy); works for int,
     Fraction and Polynomial alike. One fraction-free elimination
-    (``eliminate``), so the number of ring operations grows as n^3: the
-    determinant is the last pivot times the sign of the row swaps, or the
-    ring zero when a column has no pivot.
+    (``solve`` with no right-hand side, which raises ValueError unless
+    rows is non-empty and square), so ring operations grow as n^3.
     """
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a non-empty square matrix")
-    sign, pivots = eliminate(rows)
-    if len(pivots) < n:
-        return rows[0][0] * 0
-    return sign * rows[n - 1][n - 1]
+    return solve(rows, [()] * len(rows))[0]
 
 
 def _pseudo_remainder(a, b):

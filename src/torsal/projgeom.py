@@ -5,9 +5,9 @@ whose rows express new-frame points in old-frame coordinates
 (FrameMatrix, with its exact inverse); the cubic's moving frame B0..B4
 over any ring (frame_rows); pullback of polynomials along a change of
 coordinates; the adjugate over any ring; and the exact rank of a
-rational matrix. Inverse, adjugate and rank all come from polyring's
-one fraction-free elimination, as does a frame's determinant,
-``polyring.det_over_ring(m.rows)``.
+rational matrix. Inverse and adjugate are ``polyring.solve`` of [M | I],
+as a frame's determinant is ``polyring.det_over_ring(m.rows)``; rank
+reads the pivot count of the same fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from torsal.errors import ContextMismatchError, SingularMatrixError
-from torsal.polyring import Polynomial, eliminate
+from torsal.polyring import Polynomial, eliminate, solve
 
 
 def _frac(x) -> Fraction:
@@ -74,9 +74,9 @@ class FrameMatrix:
 
     def invert(self) -> "FrameMatrix":
         """Exact inverse: the adjugate divided by the determinant, both
-        from one elimination (see ``_eliminate_beside_identity``)."""
-        _, d, x = _eliminate_beside_identity(self.rows)
-        return FrameMatrix([[v / d for v in r] for r in x])
+        from one elimination (``polyring.solve`` of [M | I])."""
+        det, adj = solve(self.rows, _identity(self.rows))
+        return FrameMatrix([[v / det for v in r] for r in adj])
 
     def __eq__(self, other):
         if not isinstance(other, FrameMatrix):
@@ -162,31 +162,20 @@ def adjugate(rows):
     """Adjugate (transposed cofactor matrix) of an invertible matrix.
 
     Entries may lie in any commutative ring that ``eliminate`` accepts,
-    e.g. Polynomial where division is unavailable: adj(M) = sign*X from
-    the fraction-free elimination of [M | I] (``_eliminate_beside_identity``),
-    and adj(M) . M = det(M) . I. A singular M raises SingularMatrixError.
+    e.g. Polynomial where division is unavailable: ``polyring.solve`` of
+    [M | I], so adj(M) . M = det(M) . I. A singular M raises
+    SingularMatrixError.
     """
     n = len(rows)
     if n < 2 or any(len(r) != n for r in rows):
         raise ValueError("adjugate needs a square matrix of size >= 2")
-    sign, _, x = _eliminate_beside_identity(rows)
-    return [[sign * v for v in r] for r in x]
-
-
-def _eliminate_beside_identity(rows) -> tuple:
-    """(sign, d, X) from eliminating [M | I] for a square M.
-
-    The elimination leaves [d*I | X], where d = sign*det(M) is the last
-    pivot, so adj(M) = sign*X and, over a field, M^-1 = X / d. A
-    singular M raises SingularMatrixError.
-    """
-    n = len(rows)
-    one, zero = rows[0][0] ** 0, rows[0][0] * 0
-    work = [
-        list(r) + [one if i == j else zero for j in range(n)]
-        for i, r in enumerate(rows)
-    ]
-    sign, pivots = eliminate(work)
-    if pivots[n - 1] != n - 1:
+    adj = solve(rows, _identity(rows))[1]
+    if adj is None:
         raise SingularMatrixError("adjugate of a singular matrix")
-    return sign, work[n - 1][n - 1], [r[n:] for r in work]
+    return adj
+
+
+def _identity(rows) -> list:
+    """The identity matrix of rows' size, over the ring of rows[0][0]."""
+    n, one, zero = len(rows), rows[0][0] ** 0, rows[0][0] * 0
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]

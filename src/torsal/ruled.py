@@ -41,9 +41,9 @@ from torsal.polyring import (
     Polynomial,
     VarContext,
     discriminant,
-    eliminate,
     evaluate_many,
     primitive_part,
+    solve,
     sylvester_resultant,
 )
 from torsal.projgeom import ProjPoint, _frac, frame_bourgain, frame_rows, rank
@@ -320,10 +320,9 @@ def focal_system() -> FocalSystem:
     """Derive the focal system of the line foliation symbolically.
 
     Differentiates Z = B1 + lam*B2 by (lam, p, q) and solves for the
-    frame coordinates of each partial in one fraction-free elimination
-    (``eliminate``) of [F^T | partials], F the frame. It leaves
-    [d*I | X] with sign*d = det(F), which must be 1 (VerificationError
-    otherwise); then sign*X holds the coordinates. Checks that d(Z)/d(lam)
+    frame coordinates of each partial: ``solve(F^T, partials)``, F the
+    frame. det(F) must be 1 (VerificationError otherwise), so adj(F^T)
+    is the inverse of F^T. Checks that d(Z)/d(lam)
     is B2 and that the transverse motion lives in span{B0, B3 + q*B4},
     and returns the 2x2 coefficient system of that motion. Entries end
     up in the (q, lam) ring; the determinant is -lam^2.
@@ -336,17 +335,12 @@ def focal_system() -> FocalSystem:
     p, q, lam = ctx.variables()
     frame = frame_rows(p, q)
     Z = _generator(frame, lam)
-    # row j: column j of the frame, then coordinate j of each partial
-    work = [
-        [row[j] for row in frame]
-        + [Z[j].partial_derivative(v) for v in ("lam", "p", "q")]
-        for j in range(5)
-    ]
-    sign, _ = eliminate(work)
-    # a singular frame leaves work[4][4] zero
-    if sign * work[4][4] != 1:
+    # row j: coordinate j of each partial
+    partials = [[z.partial_derivative(v) for v in ("lam", "p", "q")] for z in Z]
+    det, coords = solve(list(zip(*frame)), partials)
+    if det != 1:
         raise VerificationError("frame determinant is not 1")
-    d_lam, d_p, d_q = ([sign * row[col] for row in work] for col in (5, 6, 7))
+    d_lam, d_p, d_q = map(list, zip(*coords))
     if d_lam != [0, 0, 1, 0, 0]:
         raise VerificationError("d(Z)/d(lam) is not the frame point B2")
 

@@ -10,7 +10,7 @@ import pytest
 from conftest import make_random_homogeneous
 from torsal import _kernel, polyring, projgeom
 from torsal.errors import InexactDivisionError, SingularMatrixError
-from torsal.polyring import Polynomial, VarContext, det_over_ring, eliminate
+from torsal.polyring import Polynomial, VarContext, det_over_ring, eliminate, solve
 from torsal.projgeom import (
     FrameMatrix,
     ProjPoint,
@@ -407,6 +407,18 @@ class TestElimination:
                 assert sum((adj[i][k] * m[k][j] for k in range(3)), zero) == expect
                 assert sum((m[i][k] * adj[k][j] for k in range(3)), zero) == expect
 
+    def test_constant_beside_polynomial_entries(self):
+        # the pivot 2 divides a polynomial, and a constant is divided by a
+        # polynomial pivot: both stay exact over Q[x]
+        x, = VarContext(["x"]).variables()
+        m = [[2, x], [x, 1]]
+        det, adj = det_over_ring(m), adjugate(m)
+        assert det == 2 - x * x
+        for i in range(2):
+            for j in range(2):
+                want = det if i == j else 0
+                assert sum(adj[i][k] * m[k][j] for k in range(2)) == want
+
     def test_adjugate_of_singular_matrix_is_refused(self):
         with pytest.raises(SingularMatrixError):
             adjugate([[1, 2], [2, 4]])
@@ -473,6 +485,122 @@ class TestElimination:
         assert det_over_ring(m)
         assert calls
 
+
+AB = VarContext(["a", "b"])
+MONOMIALS = [
+    AB.variable("a") ** i * AB.variable("b") ** j for i in range(3) for j in range(3 - i)
+]
+KINDS = ("int", "fraction", "polynomial", "mixed")
+
+
+def seeded_entry(rng, kind):
+    """One entry of the kind, zero one time in three: an int, a Fraction, a
+    Polynomial of degree <= 2 in (a, b), or (mixed) an int or a Polynomial."""
+    if kind == "mixed":
+        kind = rng.choice(("int", "polynomial"))
+    zero = rng.random() < 0.3
+    if kind == "int":
+        return 0 if zero else rng.randint(-5, 5)
+    if kind == "fraction":
+        return Fraction(0) if zero else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    terms = [] if zero else rng.sample(MONOMIALS, 3)
+    return sum((rng.randint(-3, 3) * t for t in terms), Polynomial.zero(AB))
+
+
+def seeded_system(rng, n, kind):
+    """(M, B): M n x n, singular one time in four (a row a multiple of
+    another), and B n x k for k in 0..3, both of the kind."""
+    m = [[seeded_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.25:
+        i, j = rng.sample(range(n), 2)
+        m[i] = [rng.randint(-2, 2) * x for x in m[j]]
+    k = rng.randint(0, 3)
+    return m, [[seeded_entry(rng, kind) for _ in range(k)] for _ in range(n)]
+
+
+def at(x, point):
+    """x at the point (a, b), as a Fraction."""
+    return x.evaluate(point) if isinstance(x, Polynomial) else Fraction(x)
+
+
+def solve_mismatches(m, b, points):
+    """What solve(m, b) gets wrong against the Fraction references
+    (Leibniz ``brute_det``, Gauss-Jordan ``brute_inverse``) at the points,
+    and against M . X = det . B in the ring; [] when nothing."""
+    n, k = len(m), len(b[0]) if b else 0
+    det, x = solve(m, b)
+    wrong = []
+    if x is None:
+        if det != 0:
+            wrong.append(f"no solution beside the nonzero det {det}")
+    elif any(
+        sum(m[i][t] * x[t][j] for t in range(n)) != det * b[i][j]
+        for i in range(n) for j in range(k)
+    ):
+        wrong.append("M . X != det . B")
+    for point in points:
+        m_at = [[at(e, point) for e in r] for r in m]
+        det_at = brute_det(m_at)
+        if at(det, point) != det_at:
+            wrong.append(f"det at {point} is not {det_at}")
+        inverse = brute_inverse(m_at)
+        if x is None or inverse is None:
+            continue
+        want = [
+            [det_at * sum(inverse[i][t] * at(b[t][j], point) for t in range(n))
+             for j in range(k)]
+            for i in range(n)
+        ]
+        if [[at(e, point) for e in r] for r in x] != want:
+            wrong.append(f"adj . B at {point} is not det . M^-1 . B")
+    return wrong
+
+
+class TestSolve:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_the_fraction_references(self, kind):
+        rng = random.Random(86)
+        singular = 0
+        for n in (1, 2, 3, 4):
+            for _ in range(12):
+                m, b = seeded_system(rng, n, kind)
+                points = [random_fractions(rng, 2) for _ in range(2)]
+                assert solve_mismatches(m, b, points) == []
+                singular += solve(m, b)[1] is None
+        assert singular
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_identity_gives_determinant_and_adjugate(self, kind):
+        rng = random.Random(87)
+        for n in (2, 3, 4):
+            m = seeded_system(rng, n, kind)[0]
+            det, adj = solve(m, [[int(i == j) for j in range(n)] for i in range(n)])
+            assert det == det_over_ring(m)
+            if adj is None:
+                with pytest.raises(SingularMatrixError):
+                    adjugate(m)
+            else:
+                assert adj == adjugate(m)
+
+    def test_singular_matrix_gives_zero_and_none(self):
+        a, b = AB.variables()
+        singular = ([[1, 2], [2, 4]], [[Fraction(0), 0], [0, 1]], [[a, b], [2 * a, 2 * b]])
+        for m in singular:
+            det, x = solve(m, [[1], [1]])
+            assert det == 0 and x is None
+
+    @pytest.mark.parametrize("b", [[[1]], [[1]] * 3, [[5, 7], [3]], [[5], [3, 7]]])
+    def test_right_hand_side_of_another_shape_is_refused(self, b):
+        # zip would drop the extra rows or entries and answer wrongly
+        with pytest.raises(ValueError, match="2 right-hand rows of one length"):
+            solve([[2, 1], [1, 1]], b)
+
+    @pytest.mark.parametrize("m", [[], [[1, 2, 3], [4, 5, 6]], [[1, 2], [3]]])
+    def test_matrix_that_is_not_square_is_refused(self, m):
+        with pytest.raises(ValueError, match="non-empty square"):
+            solve(m, [[1]] * len(m))
+        with pytest.raises(ValueError, match="non-empty square"):
+            det_over_ring(m)
 
 class TestCoordinateChange:
     def test_linear_change_preserves_structure(self, zctx):
