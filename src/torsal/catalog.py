@@ -7,6 +7,8 @@ a valid homogeneous hypersurface through one accessor.
 
 from __future__ import annotations
 
+from functools import cache
+
 from torsal._record import Record
 from torsal.hypersurface import Hypersurface
 from torsal.polyring import Polynomial, VarContext
@@ -97,6 +99,8 @@ def get(name: str) -> CatalogEntry:
         ) from None
 
 
+@cache
 def hypersurface(name: str) -> Hypersurface:
-    """Shorthand for get(name).hypersurface()."""
+    """get(name).hypersurface(), built once per process for each entry
+    (an unknown name raises and stores nothing)."""
     return get(name).hypersurface()

@@ -50,7 +50,7 @@ from torsal.hypersurface import (
     Hypersurface,
     ParamMap,
     pullback,
-    singular_locus_generators,
+    singular_locus_certificate,
 )
 from torsal.polyring import VarContext, format_polynomial, format_rational
 
@@ -161,33 +161,10 @@ def _cmd_parse_check(args) -> tuple:
     return payload, _EXIT_OK
 
 
-_WITNESS_CANDIDATES = (
-    (1, 1, 0, 1, 1),
-    (1, 1, 0, 0, 1),
-    (1, 0, 0, 0, 0),
-    (1, 0, 0, 0, 1),
-    (1, 1, 1, 1, 1),
-)
-
-
-def _smooth_witness(h: Hypersurface, grads):
-    """First candidate point lying on the surface where grads, its
-    gradient, is nonzero."""
-    for coords in _WITNESS_CANDIDATES:
-        if h.f.evaluate(coords) != 0:
-            continue
-        values = [g.evaluate(coords) for g in grads]
-        if any(values):
-            return coords, values
-    return None
-
-
 def _cmd_singular_locus(args) -> tuple:
     h = _catalog_surface(args.surface)
-    generators = singular_locus_generators(h)
-    a, b, c = VarContext(["a", "b", "c"]).variables()
-    plane = ParamMap([0 * a, a, b, c, 0 * a])
-    on_plane = all(pullback(g, plane).is_zero() for g in generators)
+    # derived once per surface; only the rendering is per call
+    generators, on_plane, witness = singular_locus_certificate(h)
     names = h.context.names
     payload = {
         "surface": args.surface,
@@ -199,7 +176,6 @@ def _cmd_singular_locus(args) -> tuple:
             "vanishes_identically": on_plane,
         },
     }
-    witness = _smooth_witness(h, generators)
     if witness is None:
         payload["smooth_point_witness"] = None
     else:

@@ -8,6 +8,8 @@ the result must be the zero polynomial, an identity in all parameters.
 
 from __future__ import annotations
 
+from functools import cache
+
 from torsal.errors import (
     ContextMismatchError,
     NonHomogeneousError,
@@ -107,6 +109,29 @@ def singular_locus_generators(h: Hypersurface) -> tuple:
     by identical vanishing under symbolic substitution.
     """
     return gradient(h)
+
+
+_WITNESS_CANDIDATES = ((1, 1, 0, 1, 1), (1, 1, 0, 0, 1), (1, 0, 0, 0, 0),
+                       (1, 0, 0, 0, 1), (1, 1, 1, 1, 1))
+
+
+@cache
+def singular_locus_certificate(h: Hypersurface) -> tuple:
+    """(generators, on_plane, witness): h's singular_locus_generators,
+    whether they all vanish identically on the plane (0, a, b, c, 0), and
+    the first candidate point on h with a nonzero gradient as (coords,
+    gradient values), or None. Derived once per process for each surface;
+    ``singular_locus_certificate.cache_clear()`` forgets them."""
+    generators = singular_locus_generators(h)
+    a, b, c = VarContext(["a", "b", "c"]).variables()
+    plane = ParamMap([0 * a, a, b, c, 0 * a])
+    on_plane = all(pullback(g, plane).is_zero() for g in generators)
+    for coords in _WITNESS_CANDIDATES:
+        if h.f.evaluate(coords) == 0:
+            values = tuple(g.evaluate(coords) for g in generators)
+            if any(values):
+                return generators, on_plane, (coords, values)
+    return generators, on_plane, None
 
 
 def contains_point(h: Hypersurface, pt: ProjPoint) -> bool:

@@ -817,7 +817,8 @@ def solve(m, b):
     """(det M, adj(M) . B) from one ``eliminate`` of [M | B], M non-empty
     and square, B as many rows of one length (ValueError otherwise). The
     pass leaves [d*I | X] with d = sign*det(M), so adj(M) . B = sign*X.
-    A singular M gives the ring zero and None.
+    A singular M gives the ring zero and None. The first Polynomial entry
+    of [M | B], if any, lifts every constant entry into its ring.
     """
     n = len(m)
     if n == 0 or any(len(r) != n for r in m):
@@ -825,6 +826,11 @@ def solve(m, b):
     if len(b) != n or any(len(s) != len(b[0]) for s in b):
         raise ValueError(f"solve needs {n} right-hand rows of one length")
     work = [list(r) + list(s) for r, s in zip(m, b)]
+    ring = next((x for r in work for x in r if isinstance(x, Polynomial)), None)
+    if ring is not None:
+        ctx = ring.context
+        work = [[x if isinstance(x, Polynomial) else Polynomial.constant(ctx, x)
+                 for x in r] for r in work]
     sign, pivots = eliminate(work)
     if len(pivots) < n or pivots[n - 1] != n - 1:
         return work[0][0] * 0, None

@@ -176,6 +176,7 @@ def adjugate(rows):
 
 
 def _identity(rows) -> list:
-    """The identity matrix of rows' size, over the ring of rows[0][0]."""
+    """The identity matrix of rows' size, over the ring of rows[0][0]
+    (``solve`` lifts it into the ring of a Polynomial entry of rows)."""
     n, one, zero = len(rows), rows[0][0] ** 0, rows[0][0] * 0
     return [[one if i == j else zero for j in range(n)] for i in range(n)]

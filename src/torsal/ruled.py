@@ -103,17 +103,18 @@ class LineFamily:
 
 
 class FocalSystem:
-    """2x2 linear system cutting out the focal points on a generator."""
+    """The 2x2 focal system of the generator Z = B1 + lam*B2, and Z itself."""
 
-    __slots__ = ("matrix", "determinant")
+    __slots__ = ("matrix", "determinant", "generator")
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, generator: ParamMap):
         matrix = tuple(tuple(r) for r in matrix)
         if len(matrix) != 2 or any(len(r) != 2 for r in matrix):
             raise ValueError("focal system matrix is 2x2")
         self.matrix = matrix
         (a, b), (c, d) = matrix
         self.determinant = a * d - b * c
+        self.generator = generator
 
 
 class FocalPoint(Record):
@@ -354,7 +355,8 @@ def focal_system() -> FocalSystem:
     matrix = [[d_p[0], d_q[0]], [d_p[3], d_q[3]]]
     if any("p" in e.variables_present() for row in matrix for e in row):
         raise VerificationError("focal entries unexpectedly involve p")
-    return FocalSystem([[e.dehomogenize("p") for e in row] for row in matrix])
+    matrix = [[e.dehomogenize("p") for e in row] for row in matrix]
+    return FocalSystem(matrix, ParamMap(Z))
 
 
 def _divisors(n: int) -> list:
@@ -410,24 +412,32 @@ def rational_roots(f: Polynomial, var: str):
     return roots, f if f.total_degree() > 0 else None
 
 
+@cache
+def _generator_pullback(h: Hypersurface, system: FocalSystem) -> Polynomial:
+    """h(B1 + lam*B2) over Q[p, q, lam], once per surface and system."""
+    return pullback(h.f, system.generator)
+
+
 def focal_points_on_generator(h: Hypersurface, p, q) -> FocalReport:
     """Roots of the focal determinant on the (p, q) generator, with the
     corresponding points and their at-infinity status.
 
-    p and q are int or Fraction (TypeError otherwise). Verifies first
-    that the generator actually lies on h. The report carries the focal
-    system whose determinant was solved."""
+    p and q are int or Fraction (TypeError otherwise). The generator lies
+    on h iff h(B1 + lam*B2) over Q[p, q, lam], derived once per surface,
+    is zero in Q[lam] at (p, q) (NotContainedError otherwise). The report
+    carries the focal system whose determinant was solved."""
     p, q = _frac(p), _frac(q)
     rows = frame_bourgain(p, q).rows
     lam_ctx = VarContext(["lam"])
     lam = lam_ctx.variable("lam")
-    line = ParamMap(_generator(rows, lam))
-    if not contains_parametrized(h, line):
+    system = focal_system()
+    on_h = _generator_pullback(h, system)
+    if on_h and on_h.substitute({"p": p, "q": q, "lam": lam},
+                                target_context=lam_ctx):
         raise NotContainedError(
             f"the generator at (p, q) = ({p}, {q}) does not lie on the "
             "hypersurface"
         )
-    system = focal_system()
     det_q = system.determinant.substitute(
         {"q": q, "lam": lam}, target_context=lam_ctx
     )

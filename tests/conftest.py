@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from torsal import equivalence, ruled
+from torsal import catalog, equivalence, hypersurface, ruled
 from torsal.polyring import Polynomial, VarContext
 
 PROJECTIVE = ("z0", "z1", "z2", "z3", "z4")
@@ -22,21 +22,25 @@ def zctx() -> VarContext:
     return VarContext(PROJECTIVE)
 
 
-# the input-free certificates each process derives once, as
-# ruled.focal_system is; test_ruled.py clears that one on its own
+# every process-wide memo: what each process derives once, per process or
+# per surface
 CERTIFICATES = (
     equivalence.sacksteder_to_bourgain,
     equivalence.bourgain_affine_chain,
+    ruled.focal_system,
+    ruled._generator_pullback,
     ruled.pencil_structure_report,
+    hypersurface.singular_locus_certificate,
+    catalog.hypersurface,
 )
 
 
 @pytest.fixture
 def uncached_certificates():
-    """The equivalence chains and the pencil certificate derived afresh
-    inside the test, so a patched helper is read; the memos are cleared
-    again afterwards, so no certificate derived with a patched helper
-    outlives the test."""
+    """Every memo of CERTIFICATES derived afresh inside the test, so a
+    patched helper is read and a count of derivations does not depend on
+    the tests that ran before; the memos are cleared again afterwards, so
+    nothing derived with a patched helper outlives the test."""
     for certificate in CERTIFICATES:
         certificate.cache_clear()
     yield

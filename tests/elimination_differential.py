@@ -9,7 +9,9 @@ must satisfy M . X = det . B in its ring, or give (0, None) when M is
 singular, and at two seeded rational points its determinant and
 adj(M) . B must agree with the Fraction oracle of test_projgeom.py
 (Leibniz determinant, Gauss-Jordan inverse). det_over_ring and adjugate
-must agree with solve. Prints the seed and one line per mismatch, and
+must agree with solve. Where [M | B] has a Polynomial entry, every entry
+that solve, det_over_ring and adjugate return must be a Polynomial of
+its ring, an int constant among them included. Prints the seed and one line per mismatch, and
 exits 1 on any mismatch.
 """
 
@@ -19,7 +21,13 @@ import random
 import sys
 import time
 
-from test_projgeom import KINDS, random_fractions, seeded_system, solve_mismatches
+from test_projgeom import (
+    KINDS,
+    outside_the_ring,
+    random_fractions,
+    seeded_system,
+    solve_mismatches,
+)
 from torsal.errors import SingularMatrixError
 from torsal.polyring import det_over_ring, solve
 from torsal.projgeom import adjugate
@@ -40,10 +48,14 @@ def main(argv):
         det, adj = solve(m, identity)
         if det_over_ring(m) != det:
             wrong.append("det_over_ring differs from solve")
+        if outside_the_ring(m, [det_over_ring(m)]):
+            wrong.append("det_over_ring lies outside the ring")
         if n > 1:
             try:
                 if adjugate(m) != adj:
                     wrong.append("adjugate differs from solve")
+                if outside_the_ring(m, [e for r in adjugate(m) for e in r]):
+                    wrong.append("adjugate lies outside the ring")
             except SingularMatrixError:
                 if adj is not None:
                     wrong.append("adjugate refuses an invertible matrix")

@@ -15,7 +15,7 @@ from jsonschema import Draft202012Validator
 import torsal
 from test_cli_golden import CASES
 from test_expr import random_expression
-from torsal import catalog, cli, equivalence, errors, projgeom, ruled
+from torsal import catalog, cli, equivalence, errors, hypersurface, projgeom, ruled
 from torsal.cli import main, schema_path
 from torsal.polyring import VarContext
 
@@ -536,6 +536,49 @@ class TestCertificatesDerivedOnce:
             certificate.cache_clear()
             payload = check(capsys, "error", argv, 1, error=True)
             assert payload["error"]["type"] == "verification"
+
+
+class TestSingularLocusDerivedOnce:
+    def test_two_calls_per_surface_derive_each_certificate_once(
+        self, capsys, uncached_certificates, monkeypatch
+    ):
+        derived = []
+        generators = hypersurface.singular_locus_generators
+
+        def counted_generators(h):
+            derived.append(h)
+            return generators(h)
+
+        monkeypatch.setattr(
+            hypersurface, "singular_locus_generators", counted_generators
+        )
+        certificate = hypersurface.singular_locus_certificate
+        names = catalog.names()
+        for name in names:
+            case = CASES[f"singular-locus/{name}"]
+            first = run_cli(capsys, *case["argv"])
+            second = run_cli(capsys, *case["argv"])
+            assert first == second == (case["exit"], case["stdout"], ""), name
+        # one derivation per surface: bourgain-affine homogenizes to the
+        # polynomial of bourgain and shares its certificate
+        surfaces = list(dict.fromkeys(catalog.hypersurface(n) for n in names))
+        assert len(surfaces) == len(names) - 1
+        assert derived == surfaces
+        assert certificate.cache_info().currsize == len(surfaces)
+        certificate.cache_clear()
+        case = CASES["singular-locus/bourgain"]
+        assert run_cli(capsys, *case["argv"]) == (0, case["stdout"], "")
+        assert len(derived) == len(surfaces) + 1
+
+    def test_unknown_surface_stores_nothing(self, capsys, uncached_certificates):
+        for _ in range(2):
+            payload = check(
+                capsys, "error", ["singular-locus", "--surface", "nope"], 2,
+                error=True,
+            )
+            assert payload["error"]["type"] == "usage"
+        assert hypersurface.singular_locus_certificate.cache_info().currsize == 0
+        assert catalog.hypersurface.cache_info().currsize == 0
 
 
 class TestPretty:

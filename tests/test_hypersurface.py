@@ -18,6 +18,7 @@ from torsal.hypersurface import (
     contains_parametrized,
     contains_point,
     gradient,
+    singular_locus_certificate,
     singular_locus_generators,
     tangent_hyperplane,
 )
@@ -78,6 +79,13 @@ class TestConstruction:
         assert cubic.degree == 3
         assert cubic.context.names == ("z0", "z1", "z2", "z3", "z4")
 
+    def test_catalog_builds_each_surface_once(self, uncached_certificates):
+        for name in catalog.names():
+            h = catalog.hypersurface(name)
+            assert catalog.hypersurface(name) is h
+            assert h == catalog.get(name).hypersurface()
+        assert catalog.hypersurface.cache_info().currsize == len(catalog.names())
+
 
 class TestGradient:
     def test_cubic_gradient_is_the_frozen_quintuple(self, cubic, zctx):
@@ -123,6 +131,21 @@ class TestSingularPlane:
     def test_gradient_nonzero_at_smooth_point(self, cubic):
         values = [g.evaluate((1, 1, 0, 1, 1)) for g in gradient(cubic)]
         assert values == [-2, 1, 1, -1, 2]
+
+    def test_certificate_of_each_surface(self, cubic, uncached_certificates):
+        generators, on_plane, witness = singular_locus_certificate(cubic)
+        assert generators == singular_locus_generators(cubic) and on_plane
+        assert witness == ((1, 1, 0, 1, 1), (-2, 1, 1, -1, 2))
+        assert singular_locus_certificate(cubic) is singular_locus_certificate(
+            catalog.hypersurface("bourgain")
+        )
+        # the smooth quadric: its gradient (z4, -2z1, -2z2, -2z3, z0) is not
+        # zero on the plane; the first candidate misses it, the second
+        # is a smooth point of it
+        quadric = catalog.hypersurface("quadric-control")
+        _, on_plane, (coords, values) = singular_locus_certificate(quadric)
+        assert not on_plane
+        assert (coords, values) == ((1, 1, 0, 0, 1), (1, -2, 0, 0, 1))
 
     def test_controls_have_different_singular_behavior(self):
         quadric = catalog.hypersurface("quadric-control")

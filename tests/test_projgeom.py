@@ -419,6 +419,22 @@ class TestElimination:
                 want = det if i == j else 0
                 assert sum(adj[i][k] * m[k][j] for k in range(2)) == want
 
+    def test_results_lie_in_the_ring_of_the_first_polynomial_entry(self):
+        # not in that of rows[0][0]: an int there gave an int identity,
+        # and an int zero for a singular matrix
+        x, = VarContext(["x"]).variables()
+        adj = adjugate([[2, x], [x, 1]])
+        assert adj == [[1, -x], [-x, 2]]
+        assert all(isinstance(e, Polynomial) for r in adj for e in r)
+        for m in ([[0, x], [0, 1]], [[0, 0], [x, 1]]):
+            det = det_over_ring(m)
+            assert isinstance(det, Polynomial) and det.is_zero()
+            assert solve(m, [[1], [x]]) == (det, None)
+        # an entry of B that the elimination never touches is lifted too
+        det, xs = solve([[1, 0], [0, x]], [[5], [0]])
+        assert (det, xs) == (x, [[5 * x], [0]])
+        assert isinstance(xs[1][0], Polynomial)
+
     def test_adjugate_of_singular_matrix_is_refused(self):
         with pytest.raises(SingularMatrixError):
             adjugate([[1, 2], [2, 4]])
@@ -523,13 +539,23 @@ def at(x, point):
     return x.evaluate(point) if isinstance(x, Polynomial) else Fraction(x)
 
 
+def outside_the_ring(rows, values) -> bool:
+    """Whether rows has a Polynomial entry but some value is not one."""
+    return any(isinstance(e, Polynomial) for r in rows for e in r) and not all(
+        isinstance(v, Polynomial) for v in values
+    )
+
+
 def solve_mismatches(m, b, points):
     """What solve(m, b) gets wrong against the Fraction references
     (Leibniz ``brute_det``, Gauss-Jordan ``brute_inverse``) at the points,
-    and against M . X = det . B in the ring; [] when nothing."""
+    against M . X = det . B in the ring, and in the ring of its results;
+    [] when nothing."""
     n, k = len(m), len(b[0]) if b else 0
     det, x = solve(m, b)
     wrong = []
+    if outside_the_ring([*m, *b], [det, *(e for r in x or () for e in r)]):
+        wrong.append("a result lies outside the ring of a Polynomial entry")
     if x is None:
         if det != 0:
             wrong.append(f"no solution beside the nonzero det {det}")

@@ -15,7 +15,13 @@ from torsal.errors import (
     SingularPointError,
     VerificationError,
 )
-from torsal.hypersurface import ParamMap, tangent_hyperplane
+from torsal.hypersurface import (
+    Hypersurface,
+    ParamMap,
+    contains_parametrized,
+    pullback,
+    tangent_hyperplane,
+)
 from torsal.polyring import (
     Polynomial,
     VarContext,
@@ -431,31 +437,57 @@ class TestTangency:
             assert z2 ** 2 + 4 * z1 * z3 == 0
 
 
-@pytest.fixture
-def uncached_focal_system():
-    """focal_system() derived afresh inside the test, so a patched
-    frame_rows is read; the memo is cleared again afterwards, so neither a
-    patched result nor a refusal outlives the test."""
-    focal_system.cache_clear()
-    yield
-    focal_system.cache_clear()
-
-
 class TestFocal:
-    def test_derived_once_per_process(self, uncached_focal_system, monkeypatch):
-        rows = []
+    def test_derived_once_per_process(self, uncached_certificates, monkeypatch):
+        rows, pullbacks = [], []
 
         def counted_rows(p, q):
             rows.append(None)
             return projgeom.frame_rows(p, q)
 
+        def counted_pullback(f, pm):
+            pullbacks.append(None)
+            return pullback(f, pm)
+
         monkeypatch.setattr(ruled, "frame_rows", counted_rows)
+        monkeypatch.setattr(ruled, "pullback", counted_pullback)
         first = focal_system()
         assert focal_system() is first and len(rows) == 1
-        assert focal_points_on_generator(
-            catalog.hypersurface("bourgain"), 1, 2
-        ).system is first
-        assert len(rows) == 1
+        # the surface's residual h(B1 + lam*B2) is read off the generator
+        # the focal system derived, once; each call only specializes it
+        bourgain = catalog.hypersurface("bourgain")
+        for p, q in ((1, 2), (Fraction(-3, 4), 5)):
+            assert focal_points_on_generator(bourgain, p, q).system is first
+        assert len(rows) == 1 and len(pullbacks) == 1
+
+    def test_containment_is_the_pullback_along_each_generator(self):
+        """The residual derived once per surface refuses exactly the (p, q)
+        whose generator, pulled back on its own, leaves a nonzero residual;
+        bourgain + z0^3 holds the generator exactly where q = 0, since
+        z0 = lam*q on it."""
+        lam = VarContext(["lam"]).variable("lam")
+        bourgain = catalog.hypersurface("bourgain")
+        z0 = bourgain.context.variable("z0")
+        cubed = Hypersurface(bourgain.f + z0 ** 3)
+        surfaces = [catalog.hypersurface(name) for name in catalog.names()]
+        rng = random.Random(89)
+        points = [(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 4)) * (i < 8))
+                  for i in range(11)]
+        for h in [*surfaces, cubed]:
+            for p, q in points:
+                line = ParamMap(ruled._generator(frame_rows(p, q), lam))
+                try:
+                    focal_points_on_generator(h, p, q)
+                    contained = True
+                except NotContainedError:
+                    contained = False
+                assert contained == contains_parametrized(h, line), (h, p, q)
+                if h == bourgain:
+                    assert contained
+                if h is cubed:
+                    assert contained == (q == 0), (p, q)
+        assert not ruled._generator_pullback(bourgain, focal_system())
 
     def test_matrix_and_determinant(self):
         system = focal_system()
@@ -490,7 +522,7 @@ class TestFocal:
         assert system.determinant == -(lam ** 2)
 
     def test_frame_determinant_other_than_one_is_refused(
-        self, uncached_focal_system, monkeypatch
+        self, uncached_certificates, monkeypatch
     ):
         def doubled_first_row(p, q):
             rows = projgeom.frame_rows(p, q)
@@ -529,7 +561,7 @@ class TestFocal:
             assert by_p[4] == q * by_p[3] and by_q[4] == q * by_q[3]
 
     def test_frame_of_determinant_minus_one_is_refused(
-        self, uncached_focal_system, monkeypatch
+        self, uncached_certificates, monkeypatch
     ):
         def swapped_last_rows(p, q):
             b0, b1, b2, b3, b4 = projgeom.frame_rows(p, q)
@@ -540,7 +572,7 @@ class TestFocal:
             focal_system()
 
     def test_row_swaps_of_the_elimination_keep_the_coordinates_signed(
-        self, uncached_focal_system, monkeypatch
+        self, uncached_certificates, monkeypatch
     ):
         # (B0, B1, B2, B4, -B3) still has determinant 1, but its
         # elimination swaps rows; Z's partials then pass the determinant
