@@ -8,7 +8,7 @@ the result must be the zero polynomial, an identity in all parameters.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import wraps
 
 from torsal.errors import (
     ContextMismatchError,
@@ -23,7 +23,7 @@ from torsal.projgeom import ProjPoint
 class Hypersurface:
     """A projective hypersurface {f = 0} with f homogeneous and nonzero."""
 
-    __slots__ = ("f", "degree")
+    __slots__ = ("f", "degree", "_facts")
 
     def __init__(self, f: Polynomial):
         if not isinstance(f, Polynomial):
@@ -45,6 +45,7 @@ class Hypersurface:
             raise NonHomogeneousError(offending)
         self.f = f
         self.degree = f.total_degree()
+        self._facts = {}
 
     @property
     def context(self) -> VarContext:
@@ -60,6 +61,21 @@ class Hypersurface:
 
     def __repr__(self):
         return f"Hypersurface({self.f})"
+
+    def __reduce__(self):
+        # a copy re-derives its facts, keyed by functions pickle cannot name
+        return Hypersurface, (self.f,)
+
+
+def per_surface(derive):
+    """``derive(h)``, derived on the first call for h and kept on h. A
+    derivation that raises keeps nothing, so it raises on every call."""
+    @wraps(derive)
+    def fact(h: Hypersurface):
+        if derive not in h._facts:
+            h._facts[derive] = derive(h)
+        return h._facts[derive]
+    return fact
 
 
 class ParamMap:
@@ -115,13 +131,13 @@ _WITNESS_CANDIDATES = ((1, 1, 0, 1, 1), (1, 1, 0, 0, 1), (1, 0, 0, 0, 0),
                        (1, 0, 0, 0, 1), (1, 1, 1, 1, 1))
 
 
-@cache
+@per_surface
 def singular_locus_certificate(h: Hypersurface) -> tuple:
     """(generators, on_plane, witness): h's singular_locus_generators,
     whether they all vanish identically on the plane (0, a, b, c, 0), and
     the first candidate point on h with a nonzero gradient as (coords,
-    gradient values), or None. Derived once per process for each surface;
-    ``singular_locus_certificate.cache_clear()`` forgets them."""
+    gradient values), or None. Derived once for each surface and kept
+    on it."""
     generators = singular_locus_generators(h)
     a, b, c = VarContext(["a", "b", "c"]).variables()
     plane = ParamMap([0 * a, a, b, c, 0 * a])

@@ -35,6 +35,7 @@ from torsal.hypersurface import (
     ParamMap,
     contains_parametrized,
     gradient,
+    per_surface,
     pullback,
 )
 from torsal.polyring import (
@@ -412,10 +413,10 @@ def rational_roots(f: Polynomial, var: str):
     return roots, f if f.total_degree() > 0 else None
 
 
-@cache
-def _generator_pullback(h: Hypersurface, system: FocalSystem) -> Polynomial:
-    """h(B1 + lam*B2) over Q[p, q, lam], once per surface and system."""
-    return pullback(h.f, system.generator)
+@per_surface
+def _generator_pullback(h: Hypersurface) -> Polynomial:
+    """h(B1 + lam*B2) over Q[p, q, lam] along focal_system()'s generator."""
+    return pullback(h.f, focal_system().generator)
 
 
 def focal_points_on_generator(h: Hypersurface, p, q) -> FocalReport:
@@ -423,7 +424,7 @@ def focal_points_on_generator(h: Hypersurface, p, q) -> FocalReport:
     corresponding points and their at-infinity status.
 
     p and q are int or Fraction (TypeError otherwise). The generator lies
-    on h iff h(B1 + lam*B2) over Q[p, q, lam], derived once per surface,
+    on h iff h(B1 + lam*B2) over Q[p, q, lam], derived once and kept on h,
     is zero in Q[lam] at (p, q) (NotContainedError otherwise). The report
     carries the focal system whose determinant was solved."""
     p, q = _frac(p), _frac(q)
@@ -431,7 +432,7 @@ def focal_points_on_generator(h: Hypersurface, p, q) -> FocalReport:
     lam_ctx = VarContext(["lam"])
     lam = lam_ctx.variable("lam")
     system = focal_system()
-    on_h = _generator_pullback(h, system)
+    on_h = _generator_pullback(h)
     if on_h and on_h.substitute({"p": p, "q": q, "lam": lam},
                                 target_context=lam_ctx):
         raise NotContainedError(
@@ -457,7 +458,7 @@ def focal_points_on_generator(h: Hypersurface, p, q) -> FocalReport:
 PENCIL_VERDICT = "torsal: pencils of lines, centers on conic C"
 
 
-@cache
+@per_surface
 def pencil_structure_report(h: Hypersurface) -> PencilReport:
     """Certify that the two-parameter generator family decomposes into
     plane pencils: for fixed p all generators pass through one center
@@ -470,11 +471,10 @@ def pencil_structure_report(h: Hypersurface) -> PencilReport:
     the standard cubic (in any variable names) is accepted; anything
     else raises VerificationError, which names every failed check.
 
-    A Hypersurface hashes by its polynomial, so the certificate of each
-    accepted surface is derived once per process and every later call
-    with an equal surface returns the same report. A refused surface or a
-    failed check raises and stores nothing, so it raises again on every
-    call (``pencil_structure_report.cache_clear()`` forgets the reports).
+    The certificate of each accepted surface is derived once and kept on
+    it, so every later call with that surface returns the same report. A
+    refused surface or a failed check raises and keeps nothing, so it
+    raises again on every call.
     """
     if h.f != catalog.get("bourgain").polynomial.rename(h.context.names):
         raise VerificationError(

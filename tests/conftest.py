@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from torsal import catalog, equivalence, hypersurface, ruled
+from torsal import catalog, equivalence, ruled
 from torsal.polyring import Polynomial, VarContext
 
 PROJECTIVE = ("z0", "z1", "z2", "z3", "z4")
@@ -22,15 +22,13 @@ def zctx() -> VarContext:
     return VarContext(PROJECTIVE)
 
 
-# every process-wide memo: what each process derives once, per process or
-# per surface
+# every process-wide memo: what each process derives once. A fact of a
+# surface lives on the surface, so clearing catalog.hypersurface drops the
+# catalog surfaces together with their facts.
 CERTIFICATES = (
     equivalence.sacksteder_to_bourgain,
     equivalence.bourgain_affine_chain,
     ruled.focal_system,
-    ruled._generator_pullback,
-    ruled.pencil_structure_report,
-    hypersurface.singular_locus_certificate,
     catalog.hypersurface,
 )
 
@@ -40,7 +38,9 @@ def uncached_certificates():
     """Every memo of CERTIFICATES derived afresh inside the test, so a
     patched helper is read and a count of derivations does not depend on
     the tests that ran before; the memos are cleared again afterwards, so
-    nothing derived with a patched helper outlives the test."""
+    nothing derived with a patched helper outlives the test. A surface
+    built before the fixture ran keeps the facts derived on it, so such a
+    test takes its catalog surfaces from catalog.hypersurface inside it."""
     for certificate in CERTIFICATES:
         certificate.cache_clear()
     yield

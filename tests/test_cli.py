@@ -496,9 +496,23 @@ class TestCertificatesDerivedOnce:
         assert len(frames) == 1
 
     def test_refused_surface_fails_every_call_and_is_not_kept(
-        self, capsys, uncached_certificates
+        self, capsys, uncached_certificates, monkeypatch
     ):
-        quadric = catalog.hypersurface("quadric-control")
+        # a derivation of the pencil certificate first reads the standard
+        # cubic, catalog.get("bourgain"); the CLI's quadric-control comes
+        # from catalog.hypersurface, and a fresh equal surface is made here
+        derived = []
+        get = catalog.get
+
+        def counted_get(name):
+            if name == "bourgain":
+                derived.append(name)
+            return get(name)
+
+        monkeypatch.setattr(catalog, "get", counted_get)
+        quadric = hypersurface.Hypersurface(
+            catalog.get("quadric-control").polynomial
+        )
         for _ in range(2):
             payload = check(
                 capsys, "error",
@@ -507,20 +521,23 @@ class TestCertificatesDerivedOnce:
             assert payload["error"]["type"] == "verification"
             with pytest.raises(errors.VerificationError, match="standard ruled"):
                 ruled.pencil_structure_report(quadric)
-        assert ruled.pencil_structure_report.cache_info().currsize == 0
+        # every call derives again: no refusal was kept on either surface
+        assert len(derived) == 4
 
     def test_tampering_shows_once_the_memo_is_cleared(
         self, capsys, uncached_certificates, monkeypatch
     ):
-        argvs = {
-            equivalence.sacksteder_to_bourgain:
-                ["equivalence-check", "--chain", "sacksteder"],
-            equivalence.bourgain_affine_chain:
-                ["equivalence-check", "--chain", "affine"],
-            ruled.pencil_structure_report:
-                ["pencil-report", "--surface", "bourgain"],
-        }
-        for argv in argvs.values():
+        argvs = [
+            (equivalence.sacksteder_to_bourgain.cache_clear,
+             ["equivalence-check", "--chain", "sacksteder"]),
+            (equivalence.bourgain_affine_chain.cache_clear,
+             ["equivalence-check", "--chain", "affine"]),
+            # the pencil certificate is kept on the catalog surface, and
+            # goes with it
+            (catalog.hypersurface.cache_clear,
+             ["pencil-report", "--surface", "bourgain"]),
+        ]
+        for _, argv in argvs:
             assert run_cli(capsys, *argv)[0] == 0
         monkeypatch.setattr(equivalence, "replay_step", lambda step: False)
 
@@ -529,11 +546,11 @@ class TestCertificatesDerivedOnce:
             return (b0, b1, b3, b2, b4)
 
         monkeypatch.setattr(ruled, "frame_rows", generator_off_the_plane)
-        for certificate, argv in argvs.items():
+        for clear, argv in argvs:
             # a certificate that passed once is not derived again ...
             assert run_cli(capsys, *argv)[0] == 0
             # ... until its memo is cleared
-            certificate.cache_clear()
+            clear()
             payload = check(capsys, "error", argv, 1, error=True)
             assert payload["error"]["type"] == "verification"
 
@@ -552,32 +569,46 @@ class TestSingularLocusDerivedOnce:
         monkeypatch.setattr(
             hypersurface, "singular_locus_generators", counted_generators
         )
-        certificate = hypersurface.singular_locus_certificate
         names = catalog.names()
         for name in names:
             case = CASES[f"singular-locus/{name}"]
             first = run_cli(capsys, *case["argv"])
             second = run_cli(capsys, *case["argv"])
             assert first == second == (case["exit"], case["stdout"], ""), name
-        # one derivation per surface: bourgain-affine homogenizes to the
-        # polynomial of bourgain and shares its certificate
-        surfaces = list(dict.fromkeys(catalog.hypersurface(n) for n in names))
-        assert len(surfaces) == len(names) - 1
-        assert derived == surfaces
-        assert certificate.cache_info().currsize == len(surfaces)
-        certificate.cache_clear()
+        # one derivation per catalog surface, kept on it: bourgain-affine
+        # homogenizes to the polynomial of bourgain, but it is a surface of
+        # its own and derives its own certificate
+        surfaces = [catalog.hypersurface(n) for n in names]
+        assert len(derived) == len(names) == 5
+        assert all(d is h for d, h in zip(derived, surfaces))
+        assert derived[0] == derived[1] and derived[0] is not derived[1]
+        # a surface built afresh derives its certificate afresh
+        catalog.hypersurface.cache_clear()
         case = CASES["singular-locus/bourgain"]
         assert run_cli(capsys, *case["argv"]) == (0, case["stdout"], "")
-        assert len(derived) == len(surfaces) + 1
+        assert len(derived) == len(names) + 1
+        assert derived[-1] == surfaces[0] and derived[-1] is not surfaces[0]
 
-    def test_unknown_surface_stores_nothing(self, capsys, uncached_certificates):
+    def test_unknown_surface_stores_nothing(
+        self, capsys, uncached_certificates, monkeypatch
+    ):
+        derived = []
+        generators = hypersurface.singular_locus_generators
+
+        def counted_generators(h):
+            derived.append(h)
+            return generators(h)
+
+        monkeypatch.setattr(
+            hypersurface, "singular_locus_generators", counted_generators
+        )
         for _ in range(2):
             payload = check(
                 capsys, "error", ["singular-locus", "--surface", "nope"], 2,
                 error=True,
             )
             assert payload["error"]["type"] == "usage"
-        assert hypersurface.singular_locus_certificate.cache_info().currsize == 0
+        assert derived == []
         assert catalog.hypersurface.cache_info().currsize == 0
 
 

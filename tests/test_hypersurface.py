@@ -1,16 +1,22 @@
-"""Hypersurfaces: gradients, containment, tangent hyperplanes."""
+"""Hypersurfaces: gradients, containment, tangent hyperplanes, and the
+facts kept on each surface."""
 
+import copy
+import gc
+import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_random_homogeneous
-from torsal import catalog
+from torsal import catalog, ruled
 from torsal.errors import (
     NonHomogeneousError,
     PointNotOnSurfaceError,
     SingularPointError,
+    VerificationError,
 )
 from torsal.hypersurface import (
     Hypersurface,
@@ -136,9 +142,14 @@ class TestSingularPlane:
         generators, on_plane, witness = singular_locus_certificate(cubic)
         assert generators == singular_locus_generators(cubic) and on_plane
         assert witness == ((1, 1, 0, 1, 1), (-2, 1, 1, -1, 2))
-        assert singular_locus_certificate(cubic) is singular_locus_certificate(
-            catalog.hypersurface("bourgain")
-        )
+        # kept on the surface: the same surface gives the same certificate,
+        # and an equal surface built afresh derives an equal one
+        certificate = singular_locus_certificate(cubic)
+        assert singular_locus_certificate(cubic) is certificate
+        bourgain = catalog.hypersurface("bourgain")
+        assert bourgain == cubic and bourgain is not cubic
+        assert singular_locus_certificate(bourgain) == certificate
+        assert singular_locus_certificate(bourgain) is not certificate
         # the smooth quadric: its gradient (z4, -2z1, -2z2, -2z3, z0) is not
         # zero on the plane; the first candidate misses it, the second
         # is a smooth point of it
@@ -226,3 +237,60 @@ class TestTangentHyperplane:
         quadric = catalog.hypersurface("quadric-control")
         dual = tangent_hyperplane(quadric, ProjPoint([1, 0, 0, 0, 0]))
         assert dual == ProjPoint([0, 0, 0, 0, 1])
+
+
+def _derive_facts(h):
+    """Derive every fact torsal keeps on a surface; a surface other than
+    the standard cubic is refused a pencil certificate."""
+    certificate = singular_locus_certificate(h)
+    focal = ruled.focal_points_on_generator(h, 1, 0)
+    try:
+        report = ruled.pencil_structure_report(h)
+    except VerificationError:
+        report = None
+    return certificate, focal, report
+
+
+def _cubed_surfaces(seed, count):
+    """bourgain + c*z0^3 for seeded rationals c: each holds the generators
+    with q = 0, and each is refused a pencil certificate."""
+    rng = random.Random(seed)
+    bourgain = catalog.hypersurface("bourgain")
+    z0 = bourgain.context.variable("z0")
+    for _ in range(count):
+        c = Fraction(rng.randint(1, 999), rng.randint(1, 99))
+        yield Hypersurface(bourgain.f + c * z0 ** 3)
+
+
+class TestFactsLiveOnTheSurface:
+    def test_pickle_and_deepcopy_rederive_equal_facts(self, cubic):
+        facts = _derive_facts(cubic)
+        residual = ruled._generator_pullback(cubic)
+        assert facts[2] is not None and not residual
+        for clone in (pickle.loads(pickle.dumps(cubic)), copy.deepcopy(cubic)):
+            assert clone == cubic and clone is not cubic
+            assert clone.degree == cubic.degree
+            # the clone starts with no facts and derives equal ones
+            certificate, focal, report = _derive_facts(clone)
+            assert (certificate, focal, report) == facts
+            assert certificate is not facts[0] and report is not facts[2]
+            assert ruled._generator_pullback(clone) == residual
+
+    def test_dropped_surfaces_free_their_facts(self):
+        # a first pass fills what every surface shares (focal_system, the
+        # catalog's bourgain, bounded layout caches) before the baseline
+        for h in _cubed_surfaces(1, 5):
+            _derive_facts(h)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            for h in _cubed_surfaces(2, 300):
+                _derive_facts(h)
+            del h
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        # a process-wide memo keyed on the surface keeps about 3 kB each
+        assert retained < 64 * 1024, retained

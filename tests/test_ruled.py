@@ -460,11 +460,20 @@ class TestFocal:
             assert focal_points_on_generator(bourgain, p, q).system is first
         assert len(rows) == 1 and len(pullbacks) == 1
 
-    def test_containment_is_the_pullback_along_each_generator(self):
+    def test_containment_is_the_pullback_along_each_generator(
+        self, monkeypatch
+    ):
         """The residual derived once per surface refuses exactly the (p, q)
         whose generator, pulled back on its own, leaves a nonzero residual;
         bourgain + z0^3 holds the generator exactly where q = 0, since
         z0 = lam*q on it."""
+        derived = []
+
+        def counted_pullback(f, pm):
+            derived.append(f)
+            return pullback(f, pm)
+
+        monkeypatch.setattr(ruled, "pullback", counted_pullback)
         lam = VarContext(["lam"]).variable("lam")
         bourgain = catalog.hypersurface("bourgain")
         z0 = bourgain.context.variable("z0")
@@ -487,7 +496,9 @@ class TestFocal:
                     assert contained
                 if h is cubed:
                     assert contained == (q == 0), (p, q)
-        assert not ruled._generator_pullback(bourgain, focal_system())
+        assert not ruled._generator_pullback(bourgain)
+        # the fresh surface derived its residual once for all 11 generators
+        assert derived.count(cubed.f) == 1
 
     def test_matrix_and_determinant(self):
         system = focal_system()
@@ -733,11 +744,13 @@ class TestPencilChecksAreComputed:
         ],
     )
     def test_each_broken_identity_fails_only_its_check(
-        self, bourgain, uncached_certificates, monkeypatch, target, patch, failed
+        self, uncached_certificates, monkeypatch, target, patch, failed
     ):
+        # the surface is built after the memos were cleared, so it holds no
+        # certificate derived before the patch
         monkeypatch.setattr(ruled, target, patch)
         with pytest.raises(VerificationError) as exc_info:
-            pencil_structure_report(bourgain)
+            pencil_structure_report(catalog.hypersurface("bourgain"))
         assert str(exc_info.value) == "pencil certificate failed: " + failed
 
 
