@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import cache
 
 from torsal import catalog
-from torsal._kernel import MASK
 from torsal._record import Record
 from torsal.catalog import PROJECTIVE_NAMES, RATIONAL_NAMES
 from torsal.errors import ContextMismatchError, DegreeError, VerificationError
@@ -44,15 +43,13 @@ class TrigSurface:
                 f"TrigSurface uses the fixed context {TRIG_NAMES}; "
                 f"got ({', '.join(f.context.names)})"
             )
-        # the grlex-largest key that breaks the rule is the first such
-        # term in sorted order
-        shifts = [f.context._shifts[TRIG_NAMES.index(n)] for n in ("c", "s")]
-        bad = [key for key in f._terms if sum((key >> s) & MASK for s in shifts) > 1]
-        if bad:
-            raise DegreeError(
-                "trig degree exceeds 1: term with exponents "
-                f"{f.context._unpack(max(bad))} mixes or squares c, s"
-            )
+        # the grlex-largest term that breaks the rule; c and s are last
+        for m, _ in f.sorted_terms():
+            if sum(m.exponents[3:]) > 1:
+                raise DegreeError(
+                    "trig degree exceeds 1: term with exponents "
+                    f"{m.exponents} mixes or squares c, s"
+                )
         self.f = f
 
     @classmethod

@@ -21,7 +21,7 @@ from torsal.projgeom import ProjPoint
 
 
 class Hypersurface:
-    """A projective hypersurface {f = 0} with f homogeneous and nonzero."""
+    """A projective hypersurface {f = 0} with f homogeneous of degree >= 1."""
 
     __slots__ = ("f", "degree", "_facts")
 
@@ -35,12 +35,14 @@ class Hypersurface:
             )
         if f.is_zero():
             raise ValueError("the zero polynomial defines no hypersurface")
+        if f.is_constant():
+            raise ValueError("a nonzero constant defines no hypersurface")
         if not f.is_homogeneous():
-            lead_deg, shift = f.total_degree(), f.context._degree_shift
+            lead_deg = f.total_degree()
             offending = [
-                format_polynomial(Polynomial._make(f.context, {key: (1, 1)}))
-                for key in f._keys_descending()
-                if key >> shift != lead_deg
+                format_polynomial(Polynomial(f.context, {m: 1}))
+                for m, _ in f.sorted_terms()
+                if m.total_degree != lead_deg
             ]
             raise NonHomogeneousError(offending)
         self.f = f
@@ -113,8 +115,9 @@ class ParamMap:
         return "ParamMap(" + ", ".join(str(c) for c in self.components) + ")"
 
 
+@per_surface
 def gradient(h: Hypersurface) -> tuple:
-    """The ordered tuple of partial derivatives of the defining polynomial."""
+    """The ordered tuple of partial derivatives of f, kept on the surface."""
     return tuple(h.f.partial_derivative(name) for name in h.context.names)
 
 

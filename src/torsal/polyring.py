@@ -6,16 +6,19 @@ equality is the identity test; there is no floating point anywhere.
 
 Terms are held by the kernel (torsal._kernel): a dict from one packed
 int per monomial to a (numerator, denominator) int pair. Exponent tuples
-and Monomial are the public face; packing and unpacking happen here, and
-so does the field-width guard: a product, power or substitution whose
-total degree could reach the kernel's DEGREE_LIMIT raises DegreeError
-instead of building a wrong key. The dict has no order. Descending
-graded-lexicographic order is sorted once, on the packed ints, where it
-can be seen (sorted_terms, leading_monomial, leading_coefficient,
-format_polynomial) and cached on the polynomial; equality, hashing and
-evaluation do not depend on it. Coefficients are exposed as
-fractions.Fraction. Cross-context arithmetic is a hard error, never a
-coercion.
+and Monomial are the public face, and the geometry reads and builds
+terms through it and two views, ``f.term_degrees(names)`` and
+``context.linear_form(coefficients)``: only the kernel, this module and
+expr's text reader know the packed key. Packing and unpacking happen
+here, and so does the field-width guard: a product, power or
+substitution whose total degree could reach the kernel's DEGREE_LIMIT
+raises DegreeError instead of building a wrong key. The dict has no
+order. Descending graded-lexicographic order is sorted once, on the
+packed ints, where it can be seen (sorted_terms, leading_monomial,
+leading_coefficient, format_polynomial) and cached on the polynomial;
+equality, hashing and evaluation do not depend on it. Coefficients are
+exposed as fractions.Fraction. Cross-context arithmetic is a hard error,
+never a coercion.
 
 Exact division: ``f.exact_div(g)`` is the q with q*g = f. The kernel
 divides by g's leading term, taking the remainder's grlex-largest
@@ -255,6 +258,14 @@ class VarContext:
         """All context variables, in order, as polynomials."""
         return tuple(self.variable(n) for n in self.names)
 
+    def linear_form(self, coefficients) -> "Polynomial":
+        """sum c_i * x_i over the context's variables, one int or Fraction
+        c_i per variable (ValueError for another count); zeros are skipped."""
+        return Polynomial._make(self, {
+            self._units[name]: _coeff_pair(c)
+            for name, c in zip(self.names, coefficients, strict=True) if c
+        })
+
 
 def _grlex_key(exps):
     return (sum(exps), exps)
@@ -419,6 +430,17 @@ class Polynomial:
 
     def term_count(self) -> int:
         return len(self._terms)
+
+    def term_degrees(self, names) -> set:
+        """The degree of each term in the variables `names`; empty for 0."""
+        ctx, terms = self.context, self._terms
+        inside = {ctx.index(name) for name in names}
+        # the total degree less the fields outside names, one pass per field
+        degrees = [key >> ctx._degree_shift for key in terms]
+        for i, s in enumerate(ctx._shifts):
+            if i not in inside:
+                degrees = [d - ((key >> s) & MASK) for d, key in zip(degrees, terms)]
+        return set(degrees)
 
     def degree_in(self, var: str) -> int:
         """Largest exponent of `var` (0 when absent); -1 for the zero polynomial."""

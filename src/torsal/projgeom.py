@@ -126,13 +126,8 @@ def change_polynomial_coordinates(f: Polynomial, m: FrameMatrix) -> Polynomial:
         raise ContextMismatchError(
             f"coordinate change needs a 5-variable context, got {len(names)}"
         )
-    # each row's linear form, built from its (lowest-terms) Fractions
-    units = [f.context._units[name] for name in names]
     assignment = {
-        name: Polynomial._make(f.context, {
-            unit: (x.numerator, x.denominator) for unit, x in zip(units, row) if x
-        })
-        for name, row in zip(names, m.rows)
+        name: f.context.linear_form(row) for name, row in zip(names, m.rows)
     }
     return f.substitute(assignment, target_context=f.context)
 

@@ -22,7 +22,6 @@ from functools import cache
 from math import isqrt
 
 from torsal import catalog
-from torsal._kernel import MASK
 from torsal._record import Record
 from torsal.errors import (
     BaseLocusError,
@@ -84,13 +83,10 @@ class LineFamily:
                 "the family is the zero polynomial; a line family needs joint "
                 f"degree exactly 1 in the plane coordinates {plane}"
             )
-        # the joint degree of a term in the plane coordinates is its total
-        # degree less its exponent of param; the grlex-largest key that
-        # breaks the rule is the first such term in sorted order
-        s, top = ctx._shifts[i], ctx._degree_shift
-        bad = [key for key in f._terms if (key >> top) - ((key >> s) & MASK) != 1]
-        if bad:
-            exps = ctx._unpack(max(bad))
+        if f.term_degrees(plane) != {1}:
+            # the grlex-largest term that breaks the rule
+            exps = next(m.exponents for m, _ in f.sorted_terms()
+                        if m.total_degree - m.exponents[i] != 1)
             raise DegreeError(
                 f"term {exps} has joint degree {sum(exps) - exps[i]} in the "
                 f"plane coordinates {plane}; a line family needs exactly 1"
@@ -312,9 +308,9 @@ def _generator(rows, lam) -> list:
 
 
 def generator_map() -> ParamMap:
-    """The moving point Z = B1 + lam*B2 on the generator, in fixed coordinates."""
-    p, q, lam = VarContext(["p", "q", "lam"]).variables()
-    return ParamMap(_generator(frame_rows(p, q), lam))
+    """The moving point Z = B1 + lam*B2 on the generator, in fixed
+    coordinates: focal_system().generator (VerificationError as there)."""
+    return focal_system().generator
 
 
 @cache
@@ -387,7 +383,7 @@ def rational_roots(f: Polynomial, var: str):
         raise ValueError("the zero polynomial has every rational as a root")
     f = primitive_part(f)
     roots = []
-    low = min(f._terms) >> ctx._degree_shift  # the power of x dividing f
+    low = min(f.term_degrees((var,)))  # the power of x dividing f
     if low:
         roots.append((Fraction(0), low))
         f = f.exact_div(x ** low)

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -18,6 +19,23 @@ from test_expr import random_expression
 from torsal import catalog, cli, equivalence, errors, hypersurface, projgeom, ruled
 from torsal.cli import main, schema_path
 from torsal.polyring import VarContext
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(lang):
+    """The bodies of README's fenced code blocks in `lang`."""
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text("utf-8"), re.M | re.S)
+
+
+# every `torsal ...` line of README's sh blocks, as the argv after `torsal`
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for block in readme_blocks("sh")
+    for line in block.splitlines()
+    if line.startswith("torsal ")
+]
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +100,25 @@ class TestDocumentedInvocations:
             0,
         )
         assert payload["contained"] is True and payload["residual"] == "0"
+
+    def test_readme_lists_one_command_per_documented_subcommand(self):
+        assert sorted(argv[0] for argv in README_COMMANDS) == [
+            "envelope", "equivalence-check", "focal", "gauss-rank",
+            "singular-locus", "verify-parametrization",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS]
+    )
+    def test_readme_command(self, capsys, argv):
+        check(capsys, argv[0], argv, 0)
+
+    def test_readme_python_session(self, capsys):
+        (session,) = readme_blocks("python")
+        exec(compile(session, str(README), "exec"), {})
+        gradient, dual, roots = capsys.readouterr().out.splitlines()
+        assert gradient.startswith("['") and dual.startswith("ProjPoint(")
+        assert roots.startswith("(FocalPoint(")
 
 
 class TestOtherSubcommands:

@@ -81,6 +81,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Hypersurface(ctx3.variable("x") ** 2)
 
+    @pytest.mark.parametrize("value", [3, Fraction(-1, 2)])
+    def test_rejects_a_nonzero_constant(self, zctx, value):
+        # a degree-0 "surface" is empty, so no plane is singular on it
+        with pytest.raises(ValueError, match="nonzero constant"):
+            Hypersurface(Polynomial.constant(zctx, value))
+
     def test_basic_accessors(self, cubic):
         assert cubic.degree == 3
         assert cubic.context.names == ("z0", "z1", "z2", "z3", "z4")
@@ -242,13 +248,14 @@ class TestTangentHyperplane:
 def _derive_facts(h):
     """Derive every fact torsal keeps on a surface; a surface other than
     the standard cubic is refused a pencil certificate."""
+    grad = gradient(h)
     certificate = singular_locus_certificate(h)
     focal = ruled.focal_points_on_generator(h, 1, 0)
     try:
         report = ruled.pencil_structure_report(h)
     except VerificationError:
         report = None
-    return certificate, focal, report
+    return grad, certificate, focal, report
 
 
 def _cubed_surfaces(seed, count):
@@ -266,14 +273,16 @@ class TestFactsLiveOnTheSurface:
     def test_pickle_and_deepcopy_rederive_equal_facts(self, cubic):
         facts = _derive_facts(cubic)
         residual = ruled._generator_pullback(cubic)
-        assert facts[2] is not None and not residual
+        assert facts[3] is not None and not residual
+        assert gradient(cubic) is facts[0] and facts[1][0] is facts[0]
         for clone in (pickle.loads(pickle.dumps(cubic)), copy.deepcopy(cubic)):
             assert clone == cubic and clone is not cubic
             assert clone.degree == cubic.degree
             # the clone starts with no facts and derives equal ones
-            certificate, focal, report = _derive_facts(clone)
-            assert (certificate, focal, report) == facts
-            assert certificate is not facts[0] and report is not facts[2]
+            grad, certificate, focal, report = _derive_facts(clone)
+            assert (grad, certificate, focal, report) == facts
+            assert grad is not facts[0] and certificate is not facts[1]
+            assert report is not facts[3]
             assert ruled._generator_pullback(clone) == residual
 
     def test_dropped_surfaces_free_their_facts(self):

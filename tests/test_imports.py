@@ -82,6 +82,51 @@ def test_no_torsal_source_imports_dataclasses():
             assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
 
 
+# the modules that know the packed term layout: the kernel, the ring that
+# owns it, and the text reader, whose canonical path adds unit keys at
+# scanner speed; every other module reads polynomials through the ring's
+# public views
+LAYOUT_OWNERS = {"_kernel.py", "polyring.py", "expr.py"}
+LAYOUT_NAMES = {"_terms", "_shifts", "_degree_shift", "_units", "_pack",
+                "_unpack", "_make", "_keys_descending"}
+
+
+def layout_uses(tree):
+    """(line, what) for each import of torsal._kernel and each read of a
+    packed-layout attribute in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_NAMES:
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            if any(f"{prefix}{alias.name}.".startswith("torsal._kernel.")
+                   for alias in node.names):
+                yield node.lineno, "import of torsal._kernel"
+
+
+def test_only_the_ring_knows_the_packed_term_layout():
+    found = []
+    for path in sorted((SRC / "torsal").glob("*.py")):
+        if path.name not in LAYOUT_OWNERS:
+            tree = ast.parse(path.read_text(), str(path))
+            found += [f"{path.name}:{line} {what}" for line, what in layout_uses(tree)]
+    assert found == []
+
+
+@pytest.mark.parametrize("code,uses", [
+    ("from torsal._kernel import MASK", 1),
+    ("from torsal import _kernel, polyring", 1),
+    ("import torsal._kernel as K", 1),
+    ("x = f._terms", 1),
+    ("ctx._units[name]", 1),
+    ("Polynomial._make(ctx, {})", 1),
+    ("from torsal import polyring\nimport torsal._kernelish", 0),
+    ("f.term_degrees(names) == {1}; ctx.linear_form(row)", 0),
+])
+def test_the_layout_scan_finds_each_kind_of_use(code, uses):
+    assert len(list(layout_uses(ast.parse(code)))) == uses
+
+
 class TestMonomial:
     def test_repr_equality_and_hash(self):
         m = Monomial([1, 0])

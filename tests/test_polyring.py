@@ -541,6 +541,53 @@ class TestExponentViews:
                     collapsed[key] = collapsed.get(key, 0) + c
                 assert f.dehomogenize(name) == Polynomial(dropped, collapsed)
 
+    def test_term_degrees_match_the_sorted_terms(self):
+        rng = random.Random(65)
+        for _ in range(60):
+            nvars = rng.randint(1, 5)
+            ctx = VarContext([f"v{i}" for i in range(nvars)])
+            f = make_random_polynomial(rng, ctx, max_terms=8, max_exp=5)
+            subsets = [(), ctx.names, ctx.names[::-1], (rng.choice(ctx.names),),
+                       tuple(rng.sample(ctx.names, rng.randint(1, nvars)))]
+            for names in subsets:
+                inside = [ctx.index(n) for n in names]
+                assert f.term_degrees(names) == {
+                    sum(m.exponents[i] for i in inside) for m, _ in f.sorted_terms()
+                }, (f, names)
+        ctx = VarContext(["x", "y", "z"])
+        x, y, z = ctx.variables()
+        assert Polynomial.zero(ctx).term_degrees(ctx.names) == set()
+        assert Polynomial.zero(ctx).term_degrees(()) == set()
+        assert (x ** 2 * y + z ** 3 + 4).term_degrees(["x", "y"]) == {3, 0}
+        assert (x ** 2 * y + z ** 3 + 4).term_degrees(()) == {0}
+        with pytest.raises(UnknownVariableError):
+            x.term_degrees(["w"])
+
+    def test_linear_form_is_the_sum_of_its_terms(self):
+        rng = random.Random(66)
+        for _ in range(60):
+            nvars = rng.randint(1, 6)
+            ctx = VarContext([f"v{i}" for i in range(nvars)])
+            coefficients = [
+                rng.choice([0, rng.randint(-9, 9),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+                for _ in range(nvars)
+            ]
+            expected = Polynomial.zero(ctx)
+            for c, v in zip(coefficients, ctx.variables()):
+                expected = expected + c * v
+            form = ctx.linear_form(coefficients)
+            assert form == expected and form.sorted_terms() == expected.sorted_terms()
+        ctx = VarContext(["x", "y", "z"])
+        x, y, z = ctx.variables()
+        assert ctx.linear_form([0, 0, 0]).is_zero()
+        assert ctx.linear_form((Fraction(4, 2), 0, Fraction(-1, 3))) == 2 * x - z / 3
+        for wrong in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ValueError):
+                ctx.linear_form(wrong)
+        with pytest.raises(TypeError):
+            ctx.linear_form([1, 0.5, 0])
+
     def test_order_is_canonical_whatever_the_construction_order(self):
         ctx = VarContext(["x", "y", "z"])
         x, y, z = ctx.variables()
