@@ -5,6 +5,11 @@ substitution, normalizes the sign, and applies a linear identification
 landing exactly on the standard cubic. Every step is stored with a
 certificate kind and enough data to replay it as a polynomial identity;
 reports serialize deterministically, so reruns are byte-identical.
+
+Each certificate kind is a map (input, data) -> output and a renderer of
+its data, in one table, ``_KINDS``: the chains build each output with the
+map (``_step``), ``replay_step`` checks it with the same map, and
+``to_jsonable`` renders each step's data by its kind.
 """
 
 from __future__ import annotations
@@ -43,13 +48,14 @@ class TrigSurface:
                 f"TrigSurface uses the fixed context {TRIG_NAMES}; "
                 f"got ({', '.join(f.context.names)})"
             )
-        # the grlex-largest term that breaks the rule; c and s are last
-        for m, _ in f.sorted_terms():
-            if sum(m.exponents[3:]) > 1:
-                raise DegreeError(
-                    "trig degree exceeds 1: term with exponents "
-                    f"{m.exponents} mixes or squares c, s"
-                )
+        if f.term_degrees(("c", "s")) - {0, 1}:
+            # the grlex-largest term that breaks the rule; c and s are last
+            exps = next(m.exponents for m, _ in f.sorted_terms()
+                        if sum(m.exponents[3:]) > 1)
+            raise DegreeError(
+                f"trig degree exceeds 1: term with exponents {exps} mixes "
+                "or squares c, s"
+            )
         self.f = f
 
     @classmethod
@@ -116,25 +122,49 @@ class EquivalenceStep(Record):
         super().__init__(name, input, output, certificate, data)
 
 
+def _substitute(f: Polynomial, images) -> Polynomial:
+    # into the images' ring, or f's own when every image is a constant
+    ring = next((g.context for _, g in images if isinstance(g, Polynomial)),
+                f.context)
+    return f.substitute(dict(images), target_context=ring)
+
+
+def _render_images(images) -> dict:
+    return {var: format_polynomial(img) for var, img in images}
+
+
+def _render_rational(c) -> str:
+    return format_rational(*c.as_integer_ratio())
+
+
+# certificate kind -> (map (input, data) -> output, renderer of data); a
+# step of that kind certifies output == map(input, data). A zero scalar
+# certificate has no image (None), so it never replays.
+_KINDS = {
+    "regrouping-identity": (lambda f, _: f, lambda _: None),
+    "linear-substitution": (_substitute, _render_images),
+    "homogenization": (
+        lambda f, d: f.homogenize(d[0], d[1]).rename(d[2]),
+        lambda d: {"variable": d[0], "degree": d[1], "names": list(d[2])},
+    ),
+    "half-angle": (
+        lambda f, _: weierstrass_substitute(TrigSurface(f)), lambda _: None
+    ),
+    "scalar-normalization": (lambda f, c: f * c, _render_rational),
+    "scalar-certificate": (lambda f, c: f / c if c else None, _render_rational),
+}
+
+
+def _step(name: str, f: Polynomial, kind: str, data=None) -> EquivalenceStep:
+    """The step of `kind` from f, whose output is the kind's map of f."""
+    return EquivalenceStep(name, f, _KINDS[kind][0](f, data), kind, data)
+
+
 def replay_step(step: EquivalenceStep) -> bool:
     """Re-verify one step from its stored data alone."""
-    kind = step.certificate
-    if kind == "regrouping-identity":
-        return step.input == step.output
-    if kind == "linear-substitution":
-        images = dict(step.data)
-        target = step.output.context
-        return step.input.substitute(images, target_context=target) == step.output
-    if kind == "homogenization":
-        var, degree, names = step.data
-        return step.input.homogenize(var, degree).rename(names) == step.output
-    if kind == "half-angle":
-        return weierstrass_substitute(TrigSurface(step.input)) == step.output
-    if kind == "scalar-normalization":
-        return step.input * step.data == step.output
-    if kind == "scalar-certificate":
-        return step.data != 0 and step.input == step.output * step.data
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    if step.certificate not in _KINDS:
+        raise ValueError(f"unknown certificate kind {step.certificate!r}")
+    return _KINDS[step.certificate][0](step.input, step.data) == step.output
 
 
 class EquivalenceReport(Record):
@@ -162,30 +192,17 @@ class EquivalenceReport(Record):
                     "input": format_polynomial(s.input),
                     "output": format_polynomial(s.output),
                     "certificate": s.certificate,
-                    "data": _data_jsonable(s.data),
+                    "data": _KINDS[s.certificate][1](s.data),
                 }
                 for s in self.steps
             ],
-            "substitution": {
-                var: format_polynomial(img) for var, img in self.final_substitution
-            },
-            "scalar": format_rational(*self.final_scalar.as_integer_ratio()),
+            "substitution": _render_images(self.final_substitution),
+            "scalar": _render_rational(self.final_scalar),
         }
         if self.z3_sign_flipped is not None:
             out["z3_sign_flipped"] = self.z3_sign_flipped
         out["notes"] = list(self.notes)
         return out
-
-
-def _data_jsonable(data):
-    if data is None:
-        return None
-    if isinstance(data, Fraction):
-        return format_rational(*data.as_integer_ratio())
-    if isinstance(data, tuple) and len(data) == 3 and isinstance(data[1], int):
-        var, degree, names = data
-        return {"variable": var, "degree": degree, "names": list(names)}
-    return {var: format_polynomial(img) for var, img in data}
 
 
 # -- the two pipelines ------------------------------------------------------
@@ -207,37 +224,17 @@ def bourgain_affine_chain() -> EquivalenceReport:
 
     eq1 = x1 * x4 ** 2 + x2 * (x4 - 1) + x3 * (x4 - 2)
     eq2 = x1 * x4 ** 2 + (x2 + x3) * x4 - (x2 + 2 * x3)
-    step1 = EquivalenceStep(
-        "regroup by powers of x4", eq1, eq2, "regrouping-identity"
-    )
+    step1 = EquivalenceStep("regroup by powers of x4", eq1, eq2, "regrouping-identity")
 
     # the change sends old (x2 + x3) to new x2 and old (x2 + 2*x3) to new
     # x3; substituting the inverse images below realizes it forward
-    forward = (
-        ("x1", x1),
-        ("x2", 2 * x2 - x3),
-        ("x3", x3 - x2),
-        ("x4", x4),
-    )
-    eq3 = eq2.substitute(dict(forward), target_context=actx)
-    if eq3 != catalog.get("bourgain-affine").polynomial:
+    forward = (("x1", x1), ("x2", 2 * x2 - x3), ("x3", x3 - x2), ("x4", x4))
+    step2 = _step("admissible linear change of coordinates", eq2,
+                  "linear-substitution", forward)
+    if step2.output != catalog.get("bourgain-affine").polynomial:
         raise VerificationError("linear change did not produce the affine cubic")
-    step2 = EquivalenceStep(
-        "admissible linear change of coordinates",
-        eq2,
-        eq3,
-        "linear-substitution",
-        forward,
-    )
-
-    eq4 = eq3.homogenize("z0", 3).rename(PROJECTIVE_NAMES)
-    step3 = EquivalenceStep(
-        "homogenize to degree 3",
-        eq3,
-        eq4,
-        "homogenization",
-        ("z0", 3, PROJECTIVE_NAMES),
-    )
+    step3 = _step("homogenize to degree 3", step2.output, "homogenization",
+                  ("z0", 3, PROJECTIVE_NAMES))
 
     report = EquivalenceReport(
         steps=(step1, step2, step3),
@@ -273,51 +270,33 @@ def sacksteder_to_bourgain() -> EquivalenceReport:
     replay raises VerificationError and is not kept
     (``sacksteder_to_bourgain.cache_clear()`` forgets it).
     """
-    ts = TrigSurface.standard()
-    w = weierstrass_substitute(ts)
-    step1 = EquivalenceStep(
-        "half-angle rationalization", ts.f, w, "half-angle"
-    )
-
-    lead = w.leading_coefficient()
-    factor = Fraction(-1) if lead < 0 else Fraction(1)
-    e = w * factor
-    step2 = EquivalenceStep(
-        "normalize the leading sign", w, e, "scalar-normalization", factor
-    )
+    step1 = _step("half-angle rationalization", TrigSurface.standard().f,
+                  "half-angle")
+    w = step1.output
+    factor = Fraction(-1) if w.leading_coefficient() < 0 else Fraction(1)
+    step2 = _step("normalize the leading sign", w, "scalar-normalization", factor)
+    e = step2.output
     if e != catalog.get("sacksteder-rational").polynomial:
         raise VerificationError(
             "rationalized form is not the expected quadratic-in-(u,v) cubic"
         )
 
     target = standard_cubic()
-    zctx = target.context
-    z0, z1, z2, z3, z4 = zctx.variables()
-    chosen = None
+    z0, z1, z2, z3, z4 = target.context.variables()
     for sign in (1, -1):
-        images = (
-            ("u", z0),
-            ("v", z4),
-            ("x1", (z3 * sign - z1) / 2),
-            ("x2", -z2 / 2),
-            ("x4", (z1 + z3 * sign) / 2),
-        )
-        candidate = e.substitute(dict(images), target_context=zctx)
-        ok, scalar = equal_up_to_scalar(candidate, target)
+        images = (("u", z0), ("v", z4), ("x1", (z3 * sign - z1) / 2),
+                  ("x2", -z2 / 2), ("x4", (z1 + z3 * sign) / 2))
+        step3 = _step("linear identification", e, "linear-substitution", images)
+        ok, scalar = equal_up_to_scalar(step3.output, target)
         if ok:
-            chosen = (sign, images, candidate, scalar)
             break
-    if chosen is None:
+    else:
         raise VerificationError(
             "neither sign of the z3 image identifies the quadric chain "
             "with the cubic"
         )
-    sign, images, candidate, scalar = chosen
-    step3 = EquivalenceStep(
-        "linear identification", e, candidate, "linear-substitution", images
-    )
     step4 = EquivalenceStep(
-        "scalar certificate", candidate, target, "scalar-certificate", scalar
+        "scalar certificate", step3.output, target, "scalar-certificate", scalar
     )
 
     flipped = sign == -1

@@ -58,6 +58,21 @@ def check(capsys, schema_name, argv, want_code, error=False):
     return payload
 
 
+SCHEMAS = sorted((Path(torsal.__file__).parent / "schemas").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SCHEMAS, ids=lambda path: path.name)
+def test_shipped_schema_is_a_draft_2020_12_schema(path):
+    # a schema that is not itself valid would validate payloads wrongly
+    Draft202012Validator.check_schema(json.loads(path.read_text()))
+
+
+def test_every_subcommand_ships_a_schema():
+    # one schema per subcommand's output, and one for the error object
+    names = {path.name.removesuffix(".schema.json") for path in SCHEMAS}
+    assert names == set(cli._COMMANDS) | {"error"}
+
+
 class TestDocumentedInvocations:
     def test_singular_locus_bourgain(self, capsys):
         payload = check(

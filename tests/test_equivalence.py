@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from torsal import catalog
+from torsal import catalog, equivalence
+from torsal.cli import schema_path
 from torsal.equivalence import (
+    EquivalenceReport,
     EquivalenceStep,
     PROJECTIVE_NAMES,
     TrigSurface,
@@ -220,6 +222,86 @@ class TestReplayStep:
         )
         with pytest.raises(ValueError):
             replay_step(bogus)
+
+
+def with_fields(step, **changes):
+    fields = {name: getattr(step, name) for name in EquivalenceStep.__slots__}
+    return EquivalenceStep(**{**fields, **changes})
+
+
+def tampered_data(step):
+    """Copies of step with its data changed, or its input where it has none."""
+    data = step.data
+    if step.certificate == "linear-substitution":
+        for i, (var, img) in enumerate(data):
+            images = data[:i] + ((var, img + 1),) + data[i + 1:]
+            yield var, with_fields(step, data=images)
+    elif step.certificate == "homogenization":
+        var, degree, names = data
+        yield "degree", with_fields(step, data=(var, degree + 1, names))
+    elif step.certificate.startswith("scalar-"):
+        yield "scalar", with_fields(step, data=data * 2)
+    else:
+        assert data is None
+        yield "input", with_fields(step, input=step.input + 1)
+
+
+CHAINS = (sacksteder_to_bourgain, bourgain_affine_chain)
+
+
+class TestCertificateKinds:
+    def test_table_is_the_schema_enum(self):
+        schema = json.loads(schema_path("equivalence-check").read_text())
+        step = schema["properties"]["steps"]["items"]["properties"]
+        assert list(equivalence._KINDS) == step["certificate"]["enum"]
+
+    def test_the_chains_use_every_kind(self):
+        used = {s.certificate for chain in CHAINS for s in chain().steps}
+        assert used == set(equivalence._KINDS)
+
+    @pytest.mark.parametrize("chain", CHAINS, ids=lambda chain: chain.__name__)
+    def test_tampered_data_fails_replay(self, chain):
+        for step in chain().steps:
+            assert replay_step(step)
+            for what, broken in tampered_data(step):
+                assert not replay_step(broken), (step.name, what)
+
+    def test_zero_scalar_certificate_fails(self):
+        x, y = VarContext(["x", "y"]).variables()
+        for zero in (0, Fraction(0)):
+            step = EquivalenceStep("zero", x + y, x + y, "scalar-certificate", zero)
+            assert not replay_step(step)
+
+    def test_constant_images_substitute_into_the_input_ring(self):
+        ctx = VarContext(["x", "y"])
+        x = ctx.variable("x")
+        three = Polynomial.constant(ctx, 3)
+        step = EquivalenceStep("c", x, three, "linear-substitution", (("x", 3),))
+        assert replay_step(step)
+        assert not replay_step(with_fields(step, data=(("x", 4),)))
+
+    def test_output_in_another_ring_fails(self):
+        # the images' ring decides where the image lies, not the output's
+        x = VarContext(["x", "y"]).variable("x")
+        elsewhere = VarContext(["a", "b"]).variable("a")
+        step = EquivalenceStep("s", x, elsewhere, "linear-substitution", (("x", x),))
+        assert not replay_step(step)
+
+    @pytest.mark.parametrize("kind", ["scalar-normalization", "scalar-certificate"])
+    def test_int_scalar_renders(self, kind):
+        x, y = VarContext(["x", "y"]).variables()
+        step = EquivalenceStep("n", x + y, -(x + y), kind, -1)
+        report = EquivalenceReport(
+            steps=(step,),
+            final_substitution=(("x", x),),
+            final_scalar=-1,
+            z3_sign_flipped=None,
+            notes=(),
+        )
+        assert replay_step(step) and report.replay()
+        payload = report.to_jsonable()
+        assert payload["steps"][0]["data"] == "-1"
+        assert payload["scalar"] == "-1"
 
 
 class TestPeriodicityNote:
